@@ -8,7 +8,9 @@ edges, or only edges with positive wait time).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.pag.edge import Edge
 from repro.pag.graph import PAG
@@ -77,29 +79,64 @@ def dfs_preorder(
         stack.extend(reversed([n for n in nxt if n not in seen]))
 
 
+def _csr(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> Tuple[List[int], List[int], List[int]]:
+    """Out-adjacency of ``n`` vertices as ``(ptr, dst, pos)`` int lists.
+
+    Vertex ``u``'s out-edges are positions ``ptr[u]:ptr[u+1]`` of
+    ``dst``/``pos``; ``pos`` maps each back to its index in ``src``.  The
+    sort is stable, so each vertex's edges keep their input order.
+    """
+    pos = np.argsort(src, kind="stable")
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=ptr[1:])
+    return ptr.tolist(), dst[pos].tolist(), pos.tolist()
+
+
+def _kahn(n: int, ptr: Sequence[int], dst: Sequence[int]) -> List[int]:
+    """FIFO Kahn order over a CSR, seeded with the sources in id order.
+
+    Returns fewer than ``n`` ids when the graph has a cycle.
+    """
+    indeg = [0] * n
+    for d in dst:
+        indeg[d] += 1
+    order = [u for u in range(n) if indeg[u] == 0]
+    i = 0
+    while i < len(order):
+        u = order[i]
+        i += 1
+        for k in range(ptr[u], ptr[u + 1]):
+            d = dst[k]
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                order.append(d)
+    return order
+
+
 def topological_order(
     pag: PAG, edge_ok: Optional[EdgePredicate] = None
 ) -> List[int]:
     """Kahn topological order of vertex ids.
+
+    FIFO, seeded with the sources in id order, each vertex's out-edges
+    taken in edge id order; ``edge_ok`` is asked once per edge.
 
     Raises ``ValueError`` on cycles — PAG views are DAGs by construction
     (tree + forward flow/comm edges), so a cycle indicates a malformed
     graph.
     """
     n = pag.num_vertices
-    indeg = [0] * n
-    for e in pag.edges():
-        if edge_ok is None or edge_ok(e):
-            indeg[e.dst_id] += 1
-    queue = deque(v for v in range(n) if indeg[v] == 0)
-    order: List[int] = []
-    while queue:
-        vid = queue.popleft()
-        order.append(vid)
-        for nid, _e in _neighbors(pag, vid, "out", edge_ok):
-            indeg[nid] -= 1
-            if indeg[nid] == 0:
-                queue.append(nid)
+    src = np.asarray(pag._e_src, dtype=np.int64)
+    dst = np.asarray(pag._e_dst, dtype=np.int64)
+    if edge_ok is not None:
+        keep = np.fromiter(
+            (bool(edge_ok(e)) for e in pag.edges()), dtype=bool, count=len(src)
+        )
+        src, dst = src[keep], dst[keep]
+    ptr, out, _pos = _csr(n, src, dst)
+    order = _kahn(n, ptr, out)
     if len(order) != n:
         raise ValueError("graph contains a cycle under the given edge filter")
     return order

@@ -180,10 +180,13 @@ class FlightRecorder:
             if ev is None:  # pragma: no cover - defensive
                 continue
             seq, t, mono, tid, kind, name, detail = ev
+            # durations come from the reported stamps, so ``dur`` equals
+            # the difference of the two ``mono`` values a reader sees
+            mono = round(mono, 6)
             rec: Dict[str, Any] = {
                 "seq": seq,
                 "t": round(t, 6),
-                "mono": round(mono, 6),
+                "mono": mono,
                 "tid": tid,
                 "kind": kind,
                 "name": name,
