@@ -243,8 +243,8 @@ class PerFlow:
     def backtracking_analysis(self, V: VertexSet, **kwargs: Any) -> Tuple[VertexSet, EdgeSet]:
         return backtracking_analysis(V, **kwargs)
 
-    def critical_path(self, V: VertexSet, **kwargs: Any):
-        return critical_path_analysis(V, **kwargs)
+    def critical_path(self, V: VertexSet):
+        return critical_path_analysis(V)
 
     # -- set operations ------------------------------------------------------
     def union(self, *sets: VertexSet) -> VertexSet:
