@@ -42,7 +42,7 @@ PASS_LATENCY = 0.08  # seconds of simulated analysis cost per request
 MIN_WARM_SPEEDUP = 5.0  # warm p50 must be >= 5x lower than cold p50
 CLIENTS = 8
 
-EXECUTIONS: List[int] = []  # salts actually executed (thread backend: in-process)
+EXECUTIONS: List[int] = []  # salts actually executed
 
 
 def _emit(name: str, **numbers) -> None:
@@ -82,11 +82,8 @@ def bench_server(tmp_path_factory):
         )
     )
     cache_dir = tmp_path_factory.mktemp("serve-load-cache")
-    # thread backend pinned: EXECUTIONS is module state the forked
-    # process backend could not report back
     config = ServerConfig(
         port=0,
-        backend="thread",
         max_concurrent=CLIENTS,
         max_queue=CLIENTS * 4,
         cache_dir=str(cache_dir),

@@ -4,12 +4,11 @@
 Starts the server as an operator would (``python -m repro serve``),
 drives concurrent load — including two byte-identical requests that
 must collapse onto one execution — then sends SIGTERM and checks for a
-clean drain (exit code 0) and, with ``--backend process``, that no
-shared-memory segments leaked.
+clean drain (exit code 0).
 
 Usage::
 
-    python scripts/serve_smoke.py [--backend thread|process] [--jobs N]
+    python scripts/serve_smoke.py [--jobs N]
 
 Exits non-zero with a diagnostic on the first failed check.
 """
@@ -53,11 +52,8 @@ def _smoke_pag_file(workdir: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="thread", choices=["thread", "process"])
     parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
-
-    shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
 
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as workdir:
         pag_path = _smoke_pag_file(workdir)
@@ -69,8 +65,6 @@ def main(argv=None) -> int:
                 "serve",
                 "--port",
                 "0",
-                "--backend",
-                args.backend,
                 "--jobs",
                 str(args.jobs),
                 "--cache-dir",
@@ -153,12 +147,7 @@ def main(argv=None) -> int:
                 proc.kill()
                 proc.wait()
 
-    if shm_before is not None:
-        leaked = set(os.listdir("/dev/shm")) - shm_before
-        if leaked:
-            _fail(f"leaked shm segments after drain: {sorted(leaked)}")
-
-    print(f"serve-smoke: OK (backend={args.backend})")
+    print(f"serve-smoke: OK (jobs={args.jobs})")
     return 0
 
 

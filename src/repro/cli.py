@@ -81,7 +81,7 @@ from repro.dataflow.api import PerFlow
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pag.serialize import PAGFormatError
+from repro.pag.formats import PAGFormatError
 
 #: Command succeeded.
 EXIT_OK = 0
@@ -111,7 +111,6 @@ def _pflow_for(args) -> PerFlow:
     return PerFlow(
         machine=_machine_for(args.program),
         jobs=args.jobs,
-        backend=getattr(args, "backend", None),
         cache=getattr(args, "cache", None),
         cache_dir=getattr(args, "cache_dir", None),
     )
@@ -402,7 +401,7 @@ def cmd_lint(args) -> int:
 
 def cmd_table1(args) -> int:
     from repro.ir.static_analysis import static_analysis_cost
-    from repro.pag.serialize import storage_size
+    from repro.pag.formats import storage_size
     from repro.pag.views import build_top_down_view
     from repro.runtime.executor import run_program
     from repro.runtime.sampler import dynamic_overhead_percent
@@ -808,7 +807,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         jobs=args.jobs,
-        backend=args.backend,
         cache=args.cache,
         cache_dir=args.cache_dir,
         max_concurrent=args.max_concurrent,
@@ -903,11 +901,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
             help="PerFlowGraph worker threads (default: $PERFLOW_JOBS or 1 = serial)",
-        )
-        p.add_argument(
-            "--backend", default=None, metavar="NAME",
-            help="pool backend for --jobs: thread or process "
-            "(default: $PERFLOW_BACKEND or thread)",
         )
         onoff = p.add_mutually_exclusive_group()
         onoff.add_argument(
@@ -1082,11 +1075,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker threads per pipeline run (default: $PERFLOW_JOBS or 1)",
     )
-    p_serve.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="pool backend per pipeline run: thread or process "
-        "(default: $PERFLOW_BACKEND or thread)",
-    )
     serveonoff = p_serve.add_mutually_exclusive_group()
     serveonoff.add_argument(
         "--cache", dest="cache", action="store_const", const=True, default=None,
@@ -1231,7 +1219,7 @@ LEDGERED_COMMANDS = ("run", "paradigm", "lint")
 def _ledger_params(args) -> dict:
     """The args that make two invocations "the same run" for baselines."""
     params = {}
-    for key in ("np", "threads", "np_large", "problem_class", "jobs", "backend"):
+    for key in ("np", "threads", "np_large", "problem_class", "jobs"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -1350,13 +1338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         try:
             resolve_jobs(args.jobs)
-        except ValueError as err:
-            raise _usage_error(str(err))
-    if getattr(args, "backend", None) is not None:
-        from repro.dataflow.scheduler import resolve_backend
-
-        try:
-            resolve_backend(args.backend)
         except ValueError as err:
             raise _usage_error(str(err))
     if hasattr(args, "cache"):

@@ -5,12 +5,9 @@
   deterministic topological execution and fixpoint groups for
   repeat-until-stable analyses (Fig. 11).
 * :mod:`~repro.dataflow.scheduler` — the dependency-counting wavefront
-  scheduler behind ``PerFlowGraph.run(jobs=N)``: independent nodes run
-  concurrently on a thread pool with serial-identical semantics.
-* :mod:`~repro.dataflow.procpool` — the multiprocessing backend behind
-  ``run(jobs=N, backend="process")``: the same wavefront core driving
-  forked workers that attach the run's PAGs zero-copy from shared
-  memory, for CPU-bound pipelines the GIL would serialize.
+  behind every ``PerFlowGraph.run``: inline in node-id order at
+  ``jobs=1``, and with ``jobs=N`` independent nodes run concurrently on
+  a thread pool with serial-identical semantics.
 * :mod:`~repro.dataflow.lowlevel` — the low-level API surface of
   §4.3.1: graph operations, graph algorithms, set operations, and the
   constants (``MPI``, ``LOOP``, ``COMM``, ``COLL_COMM``, …) the paper's
@@ -21,19 +18,7 @@
 """
 
 from repro.dataflow.graph import PerFlowGraph, PipelineError
-from repro.dataflow.procpool import (
-    NotTransferable,
-    ProcPoolError,
-    ShmAttachError,
-    WorkerCrashed,
-)
-from repro.dataflow.scheduler import (
-    BACKENDS,
-    ENV_BACKEND,
-    ENV_JOBS,
-    resolve_backend,
-    resolve_jobs,
-)
+from repro.dataflow.scheduler import ENV_JOBS, resolve_jobs
 from repro.dataflow.signatures import PassSignature, SetKind, signature
 from repro.dataflow.api import PerFlow
 
@@ -45,12 +30,5 @@ __all__ = [
     "SetKind",
     "signature",
     "ENV_JOBS",
-    "ENV_BACKEND",
-    "BACKENDS",
     "resolve_jobs",
-    "resolve_backend",
-    "ProcPoolError",
-    "WorkerCrashed",
-    "ShmAttachError",
-    "NotTransferable",
 ]

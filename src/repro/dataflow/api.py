@@ -96,18 +96,12 @@ class PerFlow:
         jobs: Optional[int] = None,
         cache: Any = None,
         cache_dir: Any = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.sampling_hz = sampling_hz
         self.machine = machine or MachineModel()
         #: default worker count for PerFlowGraphs built via
         #: :meth:`perflowgraph` (None → ``PERFLOW_JOBS`` → serial).
         self.jobs = jobs
-        #: default worker-pool flavor for PerFlowGraphs built via
-        #: :meth:`perflowgraph` (None → ``PERFLOW_BACKEND`` →
-        #: ``"thread"``; ``"process"`` runs passes on forked workers
-        #: with shared-memory PAGs).
-        self.backend = backend
         #: default result-cache spec for PerFlowGraphs built via
         #: :meth:`perflowgraph` (None → ``PERFLOW_CACHE`` → disabled).
         #: ``cache_dir`` implies an enabled disk-backed cache rooted
@@ -275,7 +269,6 @@ class PerFlow:
         jobs: Optional[int] = None,
         cache: Any = None,
         cost_model: Any = None,
-        backend: Optional[str] = None,
     ) -> PerFlowGraph:
         """A fresh dataflow graph for declarative pass composition.
 
@@ -284,10 +277,7 @@ class PerFlow:
         ``jobs``, then ``PERFLOW_JOBS``, then serial); ``cache``
         likewise sets the graph's default result-cache spec (falling
         back to this facade's ``cache``, then ``PERFLOW_CACHE``, then
-        disabled).  ``backend`` sets the graph's default worker-pool
-        flavor (``"thread"`` / ``"process"``; falling back to this
-        facade's ``backend``, then ``PERFLOW_BACKEND``, then threads).
-        ``cost_model`` (e.g.
+        disabled).  ``cost_model`` (e.g.
         :meth:`repro.obs.ledger.Ledger.cost_model`) becomes the graph's
         default wavefront cost ordering.
         """
@@ -296,7 +286,6 @@ class PerFlow:
             jobs=jobs if jobs is not None else self.jobs,
             cache=cache if cache is not None else self.cache,
             cost_model=cost_model,
-            backend=backend if backend is not None else self.backend,
         )
 
     # ------------------------------------------------------------------

@@ -10,12 +10,12 @@ longer changes": a sub-pipeline applied iteratively to its own output
 until two consecutive iterations agree (by vertex/edge identity) or an
 iteration cap is hit.
 
-Execution is serial by default; ``run(jobs=N)`` (or the
-``PERFLOW_JOBS`` environment variable) hands the sweep to the
-dependency-counting wavefront scheduler in
-:mod:`repro.dataflow.scheduler`, which runs independent nodes
-concurrently with semantics observably identical to the serial sweep
-(same result mapping, same fixpoints, same first error).
+Every run goes through the dependency-counting wavefront in
+:mod:`repro.dataflow.scheduler`: serial (inline, in node-id order) by
+default, and on a thread pool with ``run(jobs=N)`` (or the
+``PERFLOW_JOBS`` environment variable), with semantics observably
+identical to the serial sweep (same result mapping, same fixpoints,
+same first error).
 
 Pipelines are *type-checked before execution*: passes carry
 :class:`~repro.dataflow.signatures.PassSignature` declarations
@@ -160,15 +160,10 @@ class PerFlowGraph:
         jobs: Optional[int] = None,
         cache: Any = None,
         cost_model: Any = None,
-        backend: Optional[str] = None,
     ):
         self.name = name
         #: default worker count for :meth:`run` (None → ``PERFLOW_JOBS`` → 1).
         self.default_jobs = jobs
-        #: default worker-pool flavor for :meth:`run`
-        #: (None → ``PERFLOW_BACKEND`` → ``"thread"``); see
-        #: :func:`repro.dataflow.scheduler.resolve_backend`.
-        self.default_backend = backend
         #: default cache spec for :meth:`run` (None → ``PERFLOW_CACHE`` →
         #: disabled); see :func:`repro.cache.resolve_cache`.
         self.default_cache = cache
@@ -402,7 +397,6 @@ class PerFlowGraph:
         jobs: Optional[int] = None,
         cache: Any = None,
         cost_model: Any = None,
-        backend: Optional[str] = None,
         **inputs: Any,
     ) -> Dict[str, Any]:
         """Execute the pipeline; returns {node name: output value}.
@@ -413,32 +407,18 @@ class PerFlowGraph:
         are unique-ified with ``#k`` suffixes in the result mapping when
         they collide.
 
-        ``jobs`` selects the executor: ``1`` (the default) is the
-        serial topological sweep; ``N > 1`` hands the graph to the
-        wavefront scheduler (:mod:`repro.dataflow.scheduler`), which
-        runs dependency-free nodes concurrently on ``N`` threads with
-        observably identical semantics — same ``{name: output}``
-        mapping, same fixpoints, and the same (deterministic) first
-        error as the serial sweep.  ``jobs=None`` falls back to the
-        graph's ``default_jobs``, then the ``PERFLOW_JOBS`` environment
-        variable, then ``1``.  Passes themselves must be thread-safe
-        under ``jobs > 1`` (pure set-passes and the columnar PAG's bulk
-        reads are; see ``docs/ARCHITECTURE.md``).
-
-        ``backend`` selects the worker-pool flavor for parallel runs:
-        ``"thread"`` (the default) shares the process, while
-        ``"process"`` executes nodes on forked worker processes
-        (:mod:`repro.dataflow.procpool`) — the run's PAGs are published
-        once into ``multiprocessing.shared_memory`` blocks that workers
-        attach zero-copy and read-only, and pass results travel back as
-        the same ``(kind, fingerprint, id-array)`` references the
-        result cache uses for rebinding.  Nodes whose arguments or
-        results cannot cross the process boundary (unpicklable values,
-        sets over a PAG mutated since publication) transparently fall
-        back to coordinator execution, so semantics stay serial-
-        equivalent for every pipeline.  ``backend=None`` falls back to
-        the graph's ``default_backend``, then ``PERFLOW_BACKEND``, then
-        ``"thread"``.
+        Execution is the wavefront scheduler
+        (:mod:`repro.dataflow.scheduler`).  ``jobs=1`` (the default)
+        runs the nodes inline on the calling thread in node-id order —
+        the serial topological sweep; ``N > 1`` runs dependency-free
+        nodes concurrently on ``N`` threads with observably identical
+        semantics — same ``{name: output}`` mapping, same fixpoints,
+        and the same (deterministic) first error as the serial sweep.
+        ``jobs=None`` falls back to the graph's ``default_jobs``, then
+        the ``PERFLOW_JOBS`` environment variable, then ``1``.  Passes
+        themselves must be thread-safe under ``jobs > 1`` (pure
+        set-passes and the columnar PAG's bulk reads are; see
+        ``docs/ARCHITECTURE.md``).
 
         With tracing enabled (:mod:`repro.obs`), the run records one
         ``pipeline:<name>`` span containing a ``pipeline.check`` span
@@ -457,7 +437,7 @@ class PerFlowGraph:
         disables.  ``cache=None`` falls back to the graph's
         ``default_cache``, then the ``PERFLOW_CACHE`` environment
         variable, then disabled.  Cached nodes are skipped entirely
-        (the wavefront never submits them to the pool); every executed
+        (the wavefront never executes them); every executed
         node's span carries a ``cache_hit`` tag, and hits/misses land
         on the ``dataflow.cache.*`` counters.  Nodes added with
         ``cacheable=False`` always execute.
@@ -471,11 +451,7 @@ class PerFlowGraph:
         it (topological order is fixed).
         """
         from repro.cache import CacheSession, resolve_cache
-        from repro.dataflow.scheduler import (
-            resolve_backend,
-            resolve_jobs,
-            run_wavefront,
-        )
+        from repro.dataflow.scheduler import resolve_jobs, run_wavefront
 
         missing = set(self._input_names) - set(inputs)
         if missing:
@@ -484,18 +460,16 @@ class PerFlowGraph:
         if unknown:
             raise ValueError(f"unknown PerFlowGraph inputs: {sorted(unknown)}")
         njobs = resolve_jobs(jobs if jobs is not None else self.default_jobs)
-        backend_name = resolve_backend(
-            backend if backend is not None else self.default_backend
-        )
         cache_obj = resolve_cache(cache if cache is not None else self.default_cache)
         session = CacheSession(cache_obj) if cache_obj is not None else None
         costs = cost_model if cost_model is not None else self.default_cost_model
+        if njobs == 1:
+            costs = None  # the serial sweep keeps node-id order
         with _span(
             f"pipeline:{self.name}",
             category="dataflow",
             nodes=len(self._nodes),
             jobs=njobs,
-            backend=backend_name,
             cached=session is not None,
         ) as psp:
             with _span("pipeline.check", category="dataflow") as csp:
@@ -504,19 +478,9 @@ class PerFlowGraph:
                     csp.set(diagnostics=len(problems))
             if problems:
                 raise PipelineError(self.name, problems)
-            if njobs > 1 and len(self._nodes) > 1:
-                if backend_name == "process":
-                    from repro.dataflow.procpool import run_procpool
-
-                    values = run_procpool(
-                        self, inputs, njobs, session=session, cost_model=costs
-                    )
-                else:
-                    values = run_wavefront(
-                        self, inputs, njobs, session=session, cost_model=costs
-                    )
-            else:
-                values = self._run_serial(inputs, session=session)
+            values = run_wavefront(
+                self, inputs, njobs, session=session, cost_model=costs
+            )
             if psp and session is not None:
                 psp.set(
                     cache_hits=session.hits,
@@ -533,31 +497,12 @@ class PerFlowGraph:
                 named[key] = values[node.node_id]
             return named
 
-    def _run_serial(
-        self, inputs: Dict[str, Any], session: Any = None
-    ) -> List[Any]:
-        """The serial topological sweep (``jobs=1``); returns per-node values."""
-        values: List[Any] = [None] * len(self._nodes)
-
-        def resolve(ref: NodeRef) -> Any:
-            value = values[ref.node_id]
-            if ref.output_index is not None:
-                return value[ref.output_index]
-            return value
-
-        for node in self._nodes:
-            values[node.node_id] = self._execute_node(
-                node, resolve, inputs, session=session
-            )
-        return values
-
     def _apply_fixpoint(self, node: _Node, value: Any) -> Tuple[Any, int, bool]:
         """Iterate a fixpoint node to convergence (or ``max_iters``).
 
         Returns ``(final value, iterations, converged)``.  Pure compute:
-        no spans, no cache, no warning — the caller (serial sweep, a
-        pool thread, or a process-backend worker reporting back to the
-        coordinator) owns that bookkeeping.
+        no spans, no cache, no warning — :meth:`_execute_node` owns
+        that bookkeeping.
         """
         prev_key = _stable_key(value)
         iterations = 0
@@ -572,28 +517,8 @@ class PerFlowGraph:
             prev_key = key
         return value, iterations, converged
 
-    def _apply_node(self, node: _Node, args: Sequence[Any]) -> Tuple[Any, Dict[str, Any]]:
-        """Pure compute core of a pass/fixpoint node — no spans, no cache.
-
-        Runs wherever the value is actually produced; returns
-        ``(value, extra)`` where ``extra`` carries fixpoint iteration
-        metadata (``iterations`` / ``converged``) for the caller's span
-        and warning bookkeeping, and is empty for plain passes.
-        """
-        if node.kind == "pass":
-            return node.fn(*args), {}
-        value, iterations, converged = self._apply_fixpoint(node, args[0])
-        return value, {"iterations": iterations, "converged": converged}
-
     def _note_nonconverged(self, node: _Node, iterations: int) -> None:
-        """Warn + count a fixpoint that exhausted ``max_iters``.
-
-        Coordinator-side bookkeeping: the serial sweep and thread pool
-        call it where the fixpoint ran, while the process backend calls
-        it in the parent when a worker reports ``converged=False`` — so
-        the warning and the ``dataflow.fixpoint.nonconverged`` counter
-        always land in the parent process regardless of backend.
-        """
+        """Warn + count a fixpoint that exhausted ``max_iters``."""
         _metrics.counter("dataflow.fixpoint.nonconverged").inc()
         _LOG.warning(
             "fixpoint node %r (node %d) of PerFlowGraph %r did "
@@ -615,9 +540,8 @@ class PerFlowGraph:
     ) -> None:
         """Record the span of a node satisfied from cache without executing.
 
-        Used by the wavefront scheduler, which probes on the coordinator
-        thread and never submits hit nodes to the pool; the serial sweep
-        records hits inside :meth:`_execute_node` instead.
+        The wavefront scheduler probes each ready node on the calling
+        thread and completes hits with this span instead of executing.
         """
         with _span(
             f"node:{node.name}",
@@ -640,22 +564,18 @@ class PerFlowGraph:
         parent: Any = None,
         worker: Optional[str] = None,
         session: Any = None,
-        probe: bool = True,
     ) -> Any:
         """Execute one node and return its output value.
 
-        Shared by the serial sweep and the wavefront scheduler's worker
-        threads: ``resolve`` maps a :class:`NodeRef` to the already
-        computed value it references.  ``parent`` / ``worker`` are set
-        by the scheduler so the node's span nests under the pipeline
-        span despite running on a worker thread, tagged with the
-        executing worker's id.
+        Called by the wavefront scheduler, inline or on a worker
+        thread: ``resolve`` maps a :class:`NodeRef` to the already
+        computed value it references.  ``parent`` / ``worker`` make the
+        node's span nest under the pipeline span even on a worker
+        thread, tagged with the executing worker's id.
 
         ``session`` is the run's :class:`~repro.cache.CacheSession` (or
-        ``None``); with ``probe=True`` the node is looked up before
-        executing and its result stored after.  The scheduler passes
-        ``probe=False`` for nodes it already probed (missed) on the
-        coordinator thread — the memoized key is reused for the store.
+        ``None``).  The scheduler has already probed the node (a miss),
+        so the result is stored under the key the probe memoized.
         """
         span_args: Dict[str, Any] = {"node_id": node.node_id}
         if worker is not None:
@@ -674,28 +594,18 @@ class PerFlowGraph:
                 return value
             if node.kind == "pass":
                 args = [resolve(r) for r in node.inputs]
-                cache_hit = False
-                if session is not None and probe:
-                    cache_hit, value = session.probe(node, args)
-                if not cache_hit:
-                    value = node.fn(*args)
-                    if session is not None:
-                        session.store(node, value)
+                value = node.fn(*args)
+                if session is not None:
+                    session.store(node, value)
                 if sp:
                     sp.set(in_size=_sum_sizes(args), out_size=_size_of(value))
                     if session is not None:
-                        sp.set(cache_hit=cache_hit)
+                        sp.set(cache_hit=False)
                 return value
             # fixpoint
             value = resolve(node.inputs[0])
             if sp:
                 sp.set(in_size=_size_of(value))
-            if session is not None and probe:
-                cache_hit, cached = session.probe(node, [value])
-                if cache_hit:
-                    if sp:
-                        sp.set(out_size=_size_of(cached), cache_hit=True)
-                    return cached
             value, iterations, converged = self._apply_fixpoint(node, value)
             if not converged:
                 self._note_nonconverged(node, iterations)

@@ -1,46 +1,42 @@
-"""Wavefront scheduler: parallel PerFlowGraph execution (``jobs > 1``).
+"""Wavefront scheduler: the one execution core behind ``PerFlowGraph.run``.
 
 The PerFlowGraph is a DAG whose edges always point from lower to higher
 node ids (construction order guarantees acyclicity), so the classic
 dependency-counting wavefront applies directly: every node carries a
 count of unfinished dependencies; nodes whose count is zero form the
-*ready set* and are submitted to a worker pool; each completion
-decrements its dependents' counts and releases the newly ready ones.
-Independent branches of the pipeline — the very structure the paper's
-dataflow abstraction exposes — execute concurrently, while chains still
-serialize on their data dependencies.
+*ready set*; each completion decrements its dependents' counts and
+releases the newly ready ones.  :func:`run_wavefront` owns that core —
+one dependency count, one ready heap, one first-error rule and one
+cache probe — and drives it one of two ways:
 
-The dependency-counting / ready-heap / deterministic-first-error core
-lives in :class:`WavefrontState` and is **backend-agnostic**: the
-thread driver below (:func:`run_wavefront`) and the multiprocessing
-driver in :mod:`repro.dataflow.procpool` (:func:`~repro.dataflow.
-procpool.run_procpool`) share it verbatim, so both pools provide the
-identical scheduling semantics and differ only in where a node's
-function executes.
+* ``jobs == 1`` (or a one-node graph) executes each ready node inline
+  on the calling thread.  Without a cost model the heap pops in node-id
+  order, which is exactly the serial topological sweep.
+* ``jobs > 1`` submits ready nodes to a ``ThreadPoolExecutor``, so
+  independent branches of the pipeline — the very structure the paper's
+  dataflow abstraction exposes — execute concurrently, while chains
+  still serialize on their data dependencies.
 
-Semantics are observably identical to the serial sweep in
-:meth:`~repro.dataflow.graph.PerFlowGraph.run`:
+Either way the semantics are those of the serial sweep:
 
 * **Same results.**  Each node runs exactly once with the same resolved
   input values, so the ``{name: output}`` mapping is value-identical
-  (pure passes) to serial execution.  Fixpoint nodes iterate inside a
-  single worker to the same ``_stable_key`` fixed point.
+  (pure passes).  Fixpoint nodes iterate inside a single worker to the
+  same ``_stable_key`` fixed point.
 * **Deterministic first error.**  The serial sweep surfaces the failing
   node with the smallest node id whose dependencies all succeeded
-  (everything after it never runs).  The wavefront reproduces that
-  exactly: after a failure it keeps executing only nodes with a
-  *smaller* id than the best failure seen so far (only those can
-  precede it serially — every dependency edge points id-upward), then
-  re-raises the winning node's original exception.  Nodes downstream of
-  a failure, and ready nodes with larger ids, are cancelled without
-  running.
-* **Same observability, plus scheduler metrics.**  One ``node:<name>``
-  span per node, parented under the ``pipeline:<name>`` span across
-  threads and tagged with the executing ``worker``; gauges
+  (everything after it never runs).  After a failure the wavefront keeps
+  executing only nodes with a *smaller* id than the best failure seen so
+  far (only those can precede it serially — every dependency edge points
+  id-upward), then re-raises the winning node's original exception.
+  Nodes downstream of a failure, and ready nodes with larger ids, are
+  cancelled without running.
+* **Same observability.**  One ``node:<name>`` span per node, parented
+  under the ``pipeline:<name>`` span across threads; pool runs tag each
+  node span with the executing ``worker`` and publish the gauges
   ``dataflow.scheduler.jobs`` and ``dataflow.scheduler.ready_max`` (the
-  widest observed wavefront) and counter
-  ``dataflow.scheduler.nodes_parallel`` (nodes executed by the parallel
-  path) land in the metrics registry.
+  widest observed wavefront) and the counter
+  ``dataflow.scheduler.nodes_parallel`` (nodes executed by the pool).
 
 Thread-safety contract: passes run concurrently only when they are
 dependency-independent, so any pass that touches shared mutable state
@@ -50,12 +46,9 @@ built-in paradigms can opt in wholesale.
 
 ``jobs`` resolution (:func:`resolve_jobs`): an explicit argument wins,
 then the ``PERFLOW_JOBS`` environment variable, then ``1`` (serial).
-``backend`` resolution (:func:`resolve_backend`) mirrors it: an
-explicit argument wins, then ``PERFLOW_BACKEND``, then ``"thread"``.
 
-**Cost-ordered scheduling** (the first step of the pipeline-optimizer
-roadmap item): when a ``cost_model`` is supplied — anything with a
-``cost(name) -> seconds`` method, e.g.
+**Cost-ordered scheduling**: when a ``cost_model`` is supplied —
+anything with a ``cost(name) -> seconds`` method, e.g.
 :meth:`repro.obs.ledger.Ledger.cost_model`, or a plain name→seconds
 mapping — the ready heap orders by *descending measured cost* instead
 of node id, so the longest-running independent nodes start first and
@@ -71,7 +64,7 @@ import heapq
 import os
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -80,24 +73,10 @@ from repro.obs.log import get_logger
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataflow.graph import PerFlowGraph
 
-__all__ = [
-    "ENV_JOBS",
-    "ENV_BACKEND",
-    "BACKENDS",
-    "resolve_jobs",
-    "resolve_backend",
-    "WavefrontState",
-    "run_wavefront",
-]
+__all__ = ["ENV_JOBS", "resolve_jobs", "run_wavefront"]
 
 #: Environment variable supplying the default worker count.
 ENV_JOBS = "PERFLOW_JOBS"
-
-#: Environment variable supplying the default execution backend.
-ENV_BACKEND = "PERFLOW_BACKEND"
-
-#: Supported worker-pool flavors for ``PerFlowGraph.run(backend=…)``.
-BACKENDS = ("thread", "process")
 
 _LOG = get_logger("dataflow.scheduler")
 
@@ -131,31 +110,6 @@ def resolve_jobs(jobs: Any = None) -> int:
     return jobs
 
 
-def resolve_backend(backend: Any = None) -> str:
-    """Resolve a ``backend`` request to a pool flavor (``BACKENDS``).
-
-    ``None`` falls back to the ``PERFLOW_BACKEND`` environment
-    variable, and to ``"thread"`` when that is unset or empty.
-    Anything that is not a known backend name raises ``ValueError`` —
-    mirroring :func:`resolve_jobs`, a typo must not silently fall back
-    to a different executor.
-    """
-    source = "backend"
-    if backend is None:
-        raw = os.environ.get(ENV_BACKEND, "").strip()
-        if not raw:
-            return "thread"
-        backend = raw
-        source = ENV_BACKEND
-    if isinstance(backend, str):
-        name = backend.strip().lower()
-        if name in BACKENDS:
-            return name
-    raise ValueError(
-        f"{source} must be one of {', '.join(BACKENDS)}, got {backend!r}"
-    )
-
-
 def _lookup_cost(cost_model: Any, name: str) -> float:
     """Measured cost (seconds) of a node name; 0.0 when unknown.
 
@@ -173,181 +127,6 @@ def _lookup_cost(cost_model: Any, name: str) -> float:
         return 0.0
 
 
-class WavefrontState:
-    """The backend-agnostic wavefront core, shared by every pool driver.
-
-    Owns everything that makes parallel execution serial-equivalent —
-    dependency counting, the (optionally cost-ordered) ready heap, the
-    deterministic first-error cut, coordinator-side cache probes, and
-    the per-node ``values`` slab — while staying completely ignorant of
-    *where* a node's function runs.  A driver's contract is a loop::
-
-        state = WavefrontState(graph, inputs, session, cost_model)
-        while work remains:
-            nid = state.next_ready()        # None = heap drained
-            …execute node nid somewhere…
-            state.complete(nid, value)      # or state.fail(nid, exc)
-        state.raise_first_error()
-        return state.values
-
-    Not thread-safe: drivers call every method from the coordinator
-    thread only (workers hand results back through futures).
-    """
-
-    def __init__(
-        self,
-        graph: "PerFlowGraph",
-        inputs: Dict[str, Any],
-        session: Any = None,
-        cost_model: Any = None,
-    ):
-        self.graph = graph
-        self.inputs = inputs
-        self.session = session
-        self.cost_model = cost_model
-        self.nodes = graph._nodes
-        n = len(self.nodes)
-        self.n = n
-        # Dependency edges always point id-upward; duplicate refs to the
-        # same producer (e.g. two .out() selections) count once.
-        dep_ids = [sorted({ref.node_id for ref in node.inputs}) for node in self.nodes]
-        self.dependents: List[List[int]] = [[] for _ in range(n)]
-        self.pending = [len(deps) for deps in dep_ids]
-        for nid, deps in enumerate(dep_ids):
-            for dep in deps:
-                self.dependents[dep].append(nid)
-        self.values: List[Any] = [None] * n
-
-        # The open pipeline span (entered on the calling thread) becomes
-        # the explicit parent of every worker-side node span; falsy when
-        # tracing is disabled, which _execute_node treats as "no parent".
-        pipeline_span = _trace.current_span()
-        self.parent = pipeline_span if pipeline_span else None
-
-        # Heap entries are uniform (priority, node_id) pairs.  Without a
-        # cost model the priority IS the node id — identical submission
-        # order to the historical int heap.  With one, priority is
-        # negated measured cost (largest first), node id as the
-        # deterministic tie break.
-        if cost_model is not None:
-
-            def prio(nid: int) -> Any:
-                return -_lookup_cost(cost_model, self.nodes[nid].name)
-
-        else:
-
-            def prio(nid: int) -> Any:
-                return nid
-
-        self._prio: Callable[[int], Any] = prio
-        self.ready: List[Any] = [
-            (prio(nid), nid) for nid in range(n) if self.pending[nid] == 0
-        ]
-        heapq.heapify(self.ready)
-        self.errors: List[Tuple[int, BaseException]] = []
-        self.best_error_id = n  # smallest failing node id seen so far
-        self.executed = 0
-        self.cache_hits = 0
-        self.ready_max = len(self.ready)
-
-    # -- value plumbing ----------------------------------------------------
-    def resolve(self, ref: Any) -> Any:
-        """The already-computed value a :class:`NodeRef` points at."""
-        value = self.values[ref.node_id]
-        if ref.output_index is not None:
-            return value[ref.output_index]
-        return value
-
-    def resolve_args(self, nid: int) -> List[Any]:
-        """The resolved positional inputs of node ``nid``."""
-        return [self.resolve(r) for r in self.nodes[nid].inputs]
-
-    # -- scheduling --------------------------------------------------------
-    def next_ready(self) -> Optional[int]:
-        """Pop the next runnable node id; ``None`` when the heap drains.
-
-        Applies the failure cut — after a failure only nodes that could
-        precede it serially (smaller id) may still run; larger-id
-        entries are popped and discarded, and since ``best_error_id``
-        only ever decreases a discarded node could never become
-        runnable again.  Also applies the coordinator-side cache probe:
-        a hit completes the node right here — span recorded, dependents
-        released — without the driver ever seeing it; a miss memoizes
-        the key for the post-execution store.
-        """
-        while self.ready:
-            _, nid = heapq.heappop(self.ready)
-            if nid >= self.best_error_id:
-                continue
-            node = self.nodes[nid]
-            if self.session is not None and node.kind in ("pass", "fixpoint"):
-                args = self.resolve_args(nid)
-                hit, value = self.session.probe(node, args)
-                if hit:
-                    self.values[nid] = value
-                    self.cache_hits += 1
-                    self.graph._note_cache_hit(node, args, value, parent=self.parent)
-                    self._release_dependents(nid)
-                    continue
-            return nid
-        return None
-
-    def _release_dependents(self, nid: int) -> None:
-        for dep in self.dependents[nid]:
-            self.pending[dep] -= 1
-            if self.pending[dep] == 0:
-                heapq.heappush(self.ready, (self._prio(dep), dep))
-
-    def complete(self, nid: int, value: Any) -> None:
-        """Record a node's result and release its dependents."""
-        self.values[nid] = value
-        self.executed += 1
-        self._release_dependents(nid)
-
-    def fail(self, nid: int, exc: BaseException) -> None:
-        """Record a node failure; tightens the first-error cut."""
-        self.errors.append((nid, exc))
-        if nid < self.best_error_id:
-            self.best_error_id = nid
-
-    def note_wavefront(self, in_flight: int) -> None:
-        """Track the widest observed wavefront for the metrics gauge."""
-        width = in_flight + len(self.ready)
-        if width > self.ready_max:
-            self.ready_max = width
-
-    # -- completion --------------------------------------------------------
-    def raise_first_error(self) -> None:
-        """Re-raise the serial-equivalent first error, if any occurred.
-
-        The winning error is the one with the smallest node id — exactly
-        the failure the serial sweep would have surfaced.
-        """
-        if not self.errors:
-            return
-        cancelled = self.n - self.executed - self.cache_hits - len(self.errors)
-        node_id, exc = min(self.errors, key=lambda pair: pair[0])
-        _LOG.debug(
-            "wavefront of PerFlowGraph %r failed at node %d (%r); "
-            "%d node(s) cancelled, %d error(s) observed",
-            self.graph.name,
-            node_id,
-            self.nodes[node_id].name,
-            cancelled,
-            len(self.errors),
-        )
-        raise exc
-
-    def emit_metrics(self, jobs: int) -> None:
-        """Publish the shared ``dataflow.scheduler.*`` metrics."""
-        _metrics.gauge("dataflow.scheduler.jobs").set(jobs)
-        _metrics.gauge("dataflow.scheduler.ready_max").set(self.ready_max)
-        _metrics.gauge("dataflow.scheduler.cost_ordered").set(
-            1 if self.cost_model is not None else 0
-        )
-        _metrics.counter("dataflow.scheduler.nodes_parallel").inc(self.executed)
-
-
 def run_wavefront(
     graph: "PerFlowGraph",
     inputs: Dict[str, Any],
@@ -355,67 +134,149 @@ def run_wavefront(
     session: Any = None,
     cost_model: Any = None,
 ) -> List[Any]:
-    """Execute ``graph`` on ``jobs`` worker threads; returns per-node values.
+    """Execute ``graph``; returns per-node values indexed by node id.
 
-    Called by :meth:`PerFlowGraph.run` after the pipeline check, with
-    the same ``inputs`` mapping the serial sweep would use.  Raises the
-    serial-equivalent first error (see the module docstring) after all
-    in-flight work has drained — no orphaned futures survive a failure.
+    Called by :meth:`PerFlowGraph.run` after the pipeline check.  Runs
+    ready nodes inline when ``jobs == 1`` or the graph has one node,
+    otherwise on ``jobs`` worker threads.  Raises the serial-equivalent
+    first error (see the module docstring) after all in-flight work has
+    drained — no orphaned futures survive a failure.
 
     ``session`` (a :class:`~repro.cache.CacheSession`) enables the
     result cache: each ready pass/fixpoint node is probed on the
-    coordinator thread *before* submission, and a hit marks the node
-    complete — recording its span and releasing its dependents —
-    without ever occupying a pool worker.  Missed nodes execute with
-    ``probe=False`` (the memoized key is reused for the store).
+    calling thread when it is popped, and a hit completes the node —
+    recording its span and releasing its dependents — without it ever
+    executing.  Missed nodes execute and store under the key the probe
+    memoized.
 
     ``cost_model`` switches the ready heap from node-id order to
-    descending measured cost (see the module docstring) — purely a
-    submission-order heuristic, results and error semantics unchanged.
+    descending measured cost (see the module docstring) — purely an
+    execution-order heuristic, results and error semantics unchanged.
     """
-    state = WavefrontState(graph, inputs, session=session, cost_model=cost_model)
-    nodes = state.nodes
+    nodes = graph._nodes
+    n = len(nodes)
+    # Dependency edges always point id-upward; duplicate refs to the
+    # same producer (e.g. two .out() selections) count once.
+    dependents: List[List[int]] = [[] for _ in range(n)]
+    pending = [0] * n
+    for node in nodes:
+        for dep in {ref.node_id for ref in node.inputs}:
+            dependents[dep].append(node.node_id)
+            pending[node.node_id] += 1
+    values: List[Any] = [None] * n
+    errors: Dict[int, BaseException] = {}  # failing node id -> exception
+    # The open pipeline span (entered on the calling thread) becomes the
+    # explicit parent of every node span, also those recorded on pool
+    # threads; falsy when tracing is disabled.
+    parent = _trace.current_span() or None
 
-    def worker_name() -> str:
-        # ThreadPoolExecutor names workers "<prefix>_<k>"; the suffix is
-        # the stable worker id within this pool.
-        return threading.current_thread().name.rsplit("_", 1)[-1]
+    # Heap entries are (priority, node_id): without a cost model the
+    # priority is the node id, with one it is negated measured cost
+    # (largest first) with the node id as the deterministic tie break.
+    def prio(nid: int) -> Any:
+        if cost_model is None:
+            return nid
+        return -_lookup_cost(cost_model, nodes[nid].name)
 
-    def execute(nid: int) -> Any:
+    ready = [(prio(nid), nid) for nid in range(n) if not pending[nid]]
+    heapq.heapify(ready)
+
+    def resolve(ref: Any) -> Any:
+        value = values[ref.node_id]
+        return value if ref.output_index is None else value[ref.output_index]
+
+    def complete(nid: int, value: Any) -> None:
+        values[nid] = value
+        for dep in dependents[nid]:
+            pending[dep] -= 1
+            if not pending[dep]:
+                heapq.heappush(ready, (prio(dep), dep))
+
+    def next_ready() -> Optional[int]:
+        """Pop the next runnable node id; ``None`` when the heap drains.
+
+        Applies the failure cut — after a failure only nodes that could
+        precede it serially (smaller id) may still run, and since the
+        smallest failing id only ever decreases a discarded node could
+        never become runnable again — and the cache probe.
+        """
+        while ready:
+            nid = heapq.heappop(ready)[1]
+            if errors and nid >= min(errors):
+                continue
+            node = nodes[nid]
+            if session is not None and node.kind in ("pass", "fixpoint"):
+                args = [resolve(r) for r in node.inputs]
+                hit, value = session.probe(node, args)
+                if hit:
+                    graph._note_cache_hit(node, args, value, parent=parent)
+                    complete(nid, value)
+                    continue
+            return nid
+        return None
+
+    def execute(nid: int, worker: Optional[str] = None) -> Any:
         return graph._execute_node(
-            nodes[nid],
-            state.resolve,
-            inputs,
-            parent=state.parent,
-            worker=worker_name(),
-            session=session,
-            probe=False,
+            nodes[nid], resolve, inputs, parent=parent, worker=worker, session=session
         )
 
-    with ThreadPoolExecutor(
-        max_workers=jobs, thread_name_prefix=f"perflow-{graph.name}"
-    ) as pool:
-        running: Dict[Any, int] = {}  # future -> node_id
+    if jobs == 1 or n <= 1:
+        nid = next_ready()
+        while nid is not None:
+            try:
+                value = execute(nid)
+            except Exception as exc:
+                errors[nid] = exc
+            else:
+                complete(nid, value)
+            nid = next_ready()
+    else:
 
-        def submit_ready() -> None:
-            nid = state.next_ready()
-            while nid is not None:
-                running[pool.submit(execute, nid)] = nid
-                nid = state.next_ready()
+        def work(nid: int) -> Any:
+            # ThreadPoolExecutor names workers "<prefix>_<k>"; the suffix
+            # is the stable worker id within this pool.
+            return execute(nid, threading.current_thread().name.rsplit("_", 1)[-1])
 
-        submit_ready()
-        while running:
-            done, _ = wait(set(running), return_when=FIRST_COMPLETED)
-            for fut in done:
-                nid = running.pop(fut)
-                exc = fut.exception()
-                if exc is not None:
-                    state.fail(nid, exc)
-                    continue
-                state.complete(nid, fut.result())
+        executed, ready_max = 0, len(ready)
+        with ThreadPoolExecutor(
+            max_workers=jobs, thread_name_prefix=f"perflow-{graph.name}"
+        ) as pool:
+            running: Dict[Any, int] = {}  # future -> node_id
+
+            def submit_ready() -> None:
+                nid = next_ready()
+                while nid is not None:
+                    running[pool.submit(work, nid)] = nid
+                    nid = next_ready()
+
             submit_ready()
-            state.note_wavefront(len(running))
+            while running:
+                done, _ = wait(set(running), return_when=FIRST_COMPLETED)
+                for fut in done:
+                    nid = running.pop(fut)
+                    exc = fut.exception()
+                    if exc is not None:
+                        errors[nid] = exc
+                        continue
+                    complete(nid, fut.result())
+                    executed += 1
+                submit_ready()
+                ready_max = max(ready_max, len(running) + len(ready))
+        _metrics.gauge("dataflow.scheduler.jobs").set(jobs)
+        _metrics.gauge("dataflow.scheduler.ready_max").set(ready_max)
+        _metrics.gauge("dataflow.scheduler.cost_ordered").set(
+            1 if cost_model is not None else 0
+        )
+        _metrics.counter("dataflow.scheduler.nodes_parallel").inc(executed)
 
-    state.emit_metrics(jobs)
-    state.raise_first_error()
-    return state.values
+    if errors:
+        first = min(errors)
+        _LOG.debug(
+            "wavefront of PerFlowGraph %r failed at node %d (%r); %d error(s) observed",
+            graph.name,
+            first,
+            nodes[first].name,
+            len(errors),
+        )
+        raise errors[first]
+    return values

@@ -287,40 +287,6 @@ class SpanRecorder:
         stack = self._local.stack
         return stack[-1] if stack else None
 
-    def record_completed(
-        self,
-        name: str,
-        category: Optional[str] = None,
-        parent: Optional[Span] = None,
-        args: Optional[Dict[str, Any]] = None,
-        t_start: float = 0.0,
-        t_end: float = 0.0,
-        tid: int = 0,
-    ) -> Span:
-        """Insert an already-finished span (timestamps supplied).
-
-        The merge path for work measured outside this recorder — the
-        process backend replays each worker's span batch into the
-        parent trace with this, parenting the batch under the pipeline
-        span and tagging ``tid`` with the worker's pid.  ``t_start`` /
-        ``t_end`` are ``perf_counter`` readings; on platforms where
-        that clock is system-wide (``CLOCK_MONOTONIC`` on Linux) they
-        line up with the parent's own spans in the exported trace.
-        Never touches the thread-local nesting stack, so it is safe to
-        call while other spans are open.
-        """
-        sp = Span(None, name, category, args, parent=parent)
-        sp.t_start = t_start
-        sp.t_end = t_end
-        sp.tid = tid
-        with self._lock:
-            self.spans.append(sp)
-            if parent is not None:
-                parent.children.append(sp)
-            else:
-                self.roots.append(sp)
-        return sp
-
     # -- queries -----------------------------------------------------------
     def __len__(self) -> int:
         return len(self.spans)

@@ -60,9 +60,7 @@ __all__ = [
     "MAGIC",
     "write_format3",
     "read_header",
-    "read_header_buffer",
     "load_format3",
-    "load_format3_buffer",
     "pag_file_fingerprint",
     "segment_sizes",
 ]
@@ -228,93 +226,6 @@ def segment_sizes(pag: PAG, include_per_rank: bool = False) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # header reader (the O(header) path)
 # ----------------------------------------------------------------------
-def _finish_header(
-    head: bytes, read_dir: Callable[[int], bytes], total_size: int, origin: Any
-) -> Dict[str, Any]:
-    """Validate a fixed header + directory against ``total_size`` bytes.
-
-    The shared core behind :func:`read_header` (file) and
-    :func:`read_header_buffer` (in-memory image, e.g. a shared-memory
-    block): ``head`` is the first ``HEADER_SIZE`` bytes, ``read_dir``
-    yields the next ``dir_len`` bytes on demand, ``total_size`` bounds
-    every segment extent.  Raises :class:`PAGFormatError` on anything
-    truncated, misaligned, or out of bounds — so loaders can trust the
-    segment table blindly.
-    """
-    if len(head) < HEADER_SIZE:
-        raise PAGFormatError(
-            f"truncated header ({len(head)} bytes, need {HEADER_SIZE})",
-            path=origin,
-            fmt=3,
-        )
-    magic, version, flags, dir_len, nv, ne = _HEADER.unpack(head[: _HEADER.size])
-    if magic != MAGIC:
-        raise PAGFormatError(f"bad magic {magic!r}", path=origin, fmt=3)
-    if version != VERSION:
-        raise PAGFormatError(f"unsupported version {version}", path=origin, fmt=3)
-    full = head[_HEADER.size : _HEADER.size + _DIGEST_LEN]
-    content = head[_HEADER.size + _DIGEST_LEN :]
-    try:
-        fingerprint = full.decode("ascii")
-        content_hex = content.decode("ascii")
-        int(fingerprint, 16), int(content_hex, 16)
-    except ValueError as exc:
-        raise PAGFormatError(
-            "corrupt fingerprint field in header", path=origin, fmt=3
-        ) from exc
-    dir_b = read_dir(dir_len)
-    if len(dir_b) < dir_len:
-        raise PAGFormatError(
-            f"truncated directory ({len(dir_b)} of {dir_len} bytes)",
-            path=origin,
-            fmt=3,
-        )
-    try:
-        directory = json.loads(dir_b.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PAGFormatError(f"corrupt directory: {exc}", path=origin, fmt=3) from exc
-    if not isinstance(directory, dict) or not isinstance(
-        directory.get("segments"), dict
-    ):
-        raise PAGFormatError(
-            "directory is not an object with a segment table", path=origin, fmt=3
-        )
-    data_start = _align(HEADER_SIZE + dir_len)
-    for name, extent in directory["segments"].items():
-        if (
-            not isinstance(extent, list)
-            or len(extent) != 2
-            or not all(isinstance(x, int) and x >= 0 for x in extent)
-        ):
-            raise PAGFormatError(
-                f"segment {name!r}: malformed extent", path=origin, fmt=3
-            )
-        rel, nbytes = extent
-        if rel % ALIGN:
-            raise PAGFormatError(
-                f"segment {name!r}: offset {rel} not {ALIGN}-byte aligned",
-                path=origin,
-                fmt=3,
-            )
-        if data_start + rel + nbytes > total_size:
-            raise PAGFormatError(
-                f"segment {name!r}: extent [{rel}, +{nbytes}) past end of file",
-                path=origin,
-                fmt=3,
-            )
-    return {
-        "version": version,
-        "flags": flags,
-        "num_vertices": nv,
-        "num_edges": ne,
-        "fingerprint": fingerprint,
-        "content_digest": content_hex,
-        "directory": directory,
-        "data_start": data_start,
-        "file_size": total_size,
-    }
-
-
 def read_header(path: Any) -> Dict[str, Any]:
     """Parse and validate a format-3 header + directory without touching
     any data segment.
@@ -328,25 +239,78 @@ def read_header(path: Any) -> Dict[str, Any]:
     with open(Path(path), "rb") as f:
         head = f.read(HEADER_SIZE)
         file_size = os.fstat(f.fileno()).st_size
-        return _finish_header(head, f.read, file_size, path)
-
-
-def read_header_buffer(buf: Any, source: Any = "<buffer>") -> Dict[str, Any]:
-    """:func:`read_header` over an in-memory format-3 image.
-
-    ``buf`` is any buffer holding the whole document (a ``bytes``
-    object, a ``memoryview``, a ``multiprocessing.shared_memory``
-    block's ``.buf``); segment extents are validated against its full
-    length, so a loader can attach views without further bounds checks.
-    """
-    data = memoryview(buf)
-    total = data.nbytes
-    head = bytes(data[: min(HEADER_SIZE, total)])
-
-    def read_dir(dir_len: int) -> bytes:
-        return bytes(data[HEADER_SIZE : min(HEADER_SIZE + dir_len, total)])
-
-    return _finish_header(head, read_dir, total, source)
+        if len(head) < HEADER_SIZE:
+            raise PAGFormatError(
+                f"truncated header ({len(head)} bytes, need {HEADER_SIZE})",
+                path=path,
+                fmt=3,
+            )
+        magic, version, flags, dir_len, nv, ne = _HEADER.unpack(head[: _HEADER.size])
+        if magic != MAGIC:
+            raise PAGFormatError(f"bad magic {magic!r}", path=path, fmt=3)
+        if version != VERSION:
+            raise PAGFormatError(f"unsupported version {version}", path=path, fmt=3)
+        full = head[_HEADER.size : _HEADER.size + _DIGEST_LEN]
+        content = head[_HEADER.size + _DIGEST_LEN :]
+        try:
+            fingerprint = full.decode("ascii")
+            content_hex = content.decode("ascii")
+            int(fingerprint, 16), int(content_hex, 16)
+        except ValueError as exc:
+            raise PAGFormatError(
+                "corrupt fingerprint field in header", path=path, fmt=3
+            ) from exc
+        dir_b = f.read(dir_len)
+    if len(dir_b) < dir_len:
+        raise PAGFormatError(
+            f"truncated directory ({len(dir_b)} of {dir_len} bytes)",
+            path=path,
+            fmt=3,
+        )
+    try:
+        directory = json.loads(dir_b.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PAGFormatError(f"corrupt directory: {exc}", path=path, fmt=3) from exc
+    if not isinstance(directory, dict) or not isinstance(
+        directory.get("segments"), dict
+    ):
+        raise PAGFormatError(
+            "directory is not an object with a segment table", path=path, fmt=3
+        )
+    data_start = _align(HEADER_SIZE + dir_len)
+    for name, extent in directory["segments"].items():
+        if (
+            not isinstance(extent, list)
+            or len(extent) != 2
+            or not all(isinstance(x, int) and x >= 0 for x in extent)
+        ):
+            raise PAGFormatError(
+                f"segment {name!r}: malformed extent", path=path, fmt=3
+            )
+        rel, nbytes = extent
+        if rel % ALIGN:
+            raise PAGFormatError(
+                f"segment {name!r}: offset {rel} not {ALIGN}-byte aligned",
+                path=path,
+                fmt=3,
+            )
+        if data_start + rel + nbytes > file_size:
+            raise PAGFormatError(
+                f"segment {name!r}: extent [{rel}, +{nbytes}) past end of file",
+                path=path,
+                fmt=3,
+            )
+    return {
+        "version": version,
+        "flags": flags,
+        "num_vertices": nv,
+        "num_edges": ne,
+        "fingerprint": fingerprint,
+        "content_digest": content_hex,
+        "directory": directory,
+        "data_start": data_start,
+        "file_size": file_size,
+    }
 
 
 def pag_file_fingerprint(path: Any) -> str:
@@ -387,18 +351,12 @@ def _build_pag(
     origin: Any,
     backing: Optional[SegmentBacking],
     lazy: bool,
-    readonly: bool = False,
 ) -> PAG:
     """Reconstruct a PAG from a validated header + the document's bytes.
 
-    The shared core behind :func:`load_format3` (file / mmap) and
-    :func:`load_format3_buffer` (in-memory image).  ``lazy`` attaches
-    every array as a numpy view over ``buf`` (columns carry ``backing``
-    and promote to heap copy-on-write); otherwise arrays are heap-owned
-    copies.  ``readonly`` force-clears view writability — an
-    ``ACCESS_READ`` mmap is born read-only, but a shared-memory
-    block's ``memoryview`` is writable, and a worker scribbling on a
-    zero-copy twin would corrupt every sibling's view of it.
+    ``lazy`` attaches every array as a numpy view over ``buf`` (columns
+    carry ``backing`` and promote to heap copy-on-write); otherwise
+    arrays are heap-owned copies.
     """
     directory = hdr["directory"]
     data_start = hdr["data_start"]
@@ -410,10 +368,7 @@ def _build_pag(
             pag.strings.intern(s)
 
         def view(name: str, dtype):
-            arr = _seg_view(buf, data_start, segments[name], dtype, origin, name)
-            if readonly and arr.flags.writeable:
-                arr.flags.writeable = False
-            return arr
+            return _seg_view(buf, data_start, segments[name], dtype, origin, name)
 
         for attr, name, dtype in _STRUCT_SEGS:
             arr = view(name, dtype)
@@ -498,19 +453,3 @@ def load_format3(path: Any, use_mmap: bool = False) -> PAG:
         buf = Path(path).read_bytes()
     return _build_pag(hdr, buf, path, backing, lazy=use_mmap)
 
-
-def load_format3_buffer(buf: Any, source: Any = "<buffer>") -> PAG:
-    """Attach a PAG zero-copy over an in-memory format-3 image.
-
-    The process-backend path: the coordinator streams ``write_format3``
-    into a ``multiprocessing.shared_memory`` block once, and every
-    worker reconstructs its read-only twin from the block's ``.buf``
-    with this function — O(header) per attach, column pages fault in
-    on first touch, and mutation promotes a column to a worker-local
-    heap copy exactly like the mmap path (the block itself is never
-    written).  The caller owns ``buf``'s lifetime and must keep the
-    underlying block mapped for as long as the returned PAG lives.
-    """
-    hdr = read_header_buffer(buf, source=source)
-    backing = SegmentBacking(buf, source=str(source))
-    return _build_pag(hdr, buf, source, backing, lazy=True, readonly=True)

@@ -38,14 +38,13 @@ def loop_causal_paradigm(
     max_iters: int = 5,
     jobs: Optional[int] = None,
     cache: Any = None,
-    backend: Optional[str] = None,
 ) -> LoopCausalResult:
     """Fig. 11's PerFlowGraph, executed.
 
     The causal stage maps the current suspect set onto the parallel
     view, finds common ancestors, and feeds them back in; the fixpoint
-    is reached when an iteration adds no new cause vertices.  ``jobs``,
-    ``cache``, and ``backend`` are forwarded to :meth:`PerFlowGraph.run`; this graph
+    is reached when an iteration adds no new cause vertices.  ``jobs``
+    and ``cache`` are forwarded to :meth:`PerFlowGraph.run`; this graph
     is one chain, so parallel execution changes scheduling overhead
     only, never results.
     """
@@ -84,7 +83,7 @@ def loop_causal_paradigm(
     n_fix = g.add_fixpoint(
         causal_step, n_imb, max_iters=max_iters, name="causal", cacheable=False
     )
-    outputs = g.run(jobs=jobs, cache=cache, backend=backend, V=pag.vs)
+    outputs = g.run(jobs=jobs, cache=cache, V=pag.vs)
 
     V_fix: VertexSet = outputs["causal"]
     # Root causes: vertices that entered via causal analysis (annotated

@@ -77,7 +77,6 @@ def build_scalability_graph(
     max_ranks: Optional[int] = None,
     jobs: Optional[int] = None,
     cache: Any = None,
-    backend: Optional[str] = None,
 ):
     """Fig. 8's pipeline as an explicit PerFlowGraph.
 
@@ -86,13 +85,9 @@ def build_scalability_graph(
     materializes the parallel view, and ``backtracking`` annotates
     ``backtrack_root`` on its vertices — all three carry hidden state
     (fresh graphs, the facade's view cache, in-place annotation), so
-    they are ``cacheable=False``: never skipped by the result cache and
-    always executed in the coordinator process under the multiprocessing
-    backend.
+    they are ``cacheable=False``: never skipped by the result cache.
     """
-    g = pflow.perflowgraph(
-        "scalability", jobs=jobs, cache=cache, backend=backend
-    )
+    g = pflow.perflowgraph("scalability", jobs=jobs, cache=cache)
     V1 = g.input("V1", VertexSet)
     V2 = g.input("V2", VertexSet)
     n_diff = g.add_pass(
@@ -149,15 +144,14 @@ def scalability_analysis_paradigm(
     attrs: Tuple[str, ...] = ("name", "time", "debug-info", "cycles"),
     jobs: Optional[int] = None,
     cache: Any = None,
-    backend: Optional[str] = None,
 ) -> ScalabilityResult:
     """Listing 7's paradigm body (Part 2), parameterized.
 
     ``pag_small``/``pag_large`` are the two runs' PAGs (e.g. 4 vs 64
     ranks in Listing 7, 16 vs 2,048 in case study A).  ``max_ranks``
     caps the materialized parallel view for backtracking (the paper
-    plots partial views for the same reason).  ``jobs`` / ``cache`` /
-    ``backend`` configure the underlying
+    plots partial views for the same reason).  ``jobs`` / ``cache``
+    configure the underlying
     :meth:`~repro.dataflow.graph.PerFlowGraph.run`.
     """
     g = build_scalability_graph(
@@ -168,7 +162,6 @@ def scalability_analysis_paradigm(
         max_ranks=max_ranks,
         jobs=jobs,
         cache=cache,
-        backend=backend,
     )
     out = g.run(V1=pag_large.vs, V2=pag_small.vs)
     V_diff = out["differential"]

@@ -3,7 +3,7 @@
 Turns one-shot CLI analyses into a long-lived concurrent service:
 ``repro serve`` accepts PAG-plus-pipeline requests over HTTP/JSON,
 validates them with ``PerFlowGraph.check()``, executes them on a
-bounded worker pool (thread or process backend), collapses concurrent
+bounded worker pool, collapses concurrent
 identical requests into one execution (single-flight), and shares the
 content-addressed result cache across every client.  See
 ``docs/SERVING.md``.

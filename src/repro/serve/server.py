@@ -8,7 +8,6 @@ Architecture — one event loop, one bounded thread pool::
                                  ──▶ single-flight (identical requests
                                                collapse onto one leader)
                                  ──▶ executor slot ──▶ graph.run(...)
-                                               (thread or process backend)
                                  ◀── NDJSON events back to every caller
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 subset
@@ -38,7 +37,6 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,8 +58,6 @@ from repro.serve.queue import AdmissionController
 from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ServerConfig", "ReproServer"]
-
-_NULL_CM = contextlib.nullcontext()
 
 _REASONS = {
     200: "OK",
@@ -90,7 +86,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8321
     jobs: Optional[int] = None
-    backend: Optional[str] = None
     cache: Any = None
     cache_dir: Optional[str] = None
     max_concurrent: int = 4
@@ -123,10 +118,9 @@ class ReproServer:
     def __init__(self, config: Optional[ServerConfig] = None):
         self.config = config or ServerConfig()
         from repro.cache import resolve_cache
-        from repro.dataflow.scheduler import resolve_backend, resolve_jobs
+        from repro.dataflow.scheduler import resolve_jobs
 
         self.jobs = resolve_jobs(self.config.jobs)
-        self.backend = resolve_backend(self.config.backend)
         cache_spec: Any = self.config.cache
         if self.config.cache_dir:
             cache_spec = self.config.cache_dir
@@ -151,13 +145,6 @@ class ReproServer:
             max_workers=self.config.max_concurrent + 2,
             thread_name_prefix="serve",
         )
-        # Forking is not thread-safe: a worker forked while a sibling
-        # execution holds a lock (the shm publish path takes the global
-        # resource_tracker lock) inherits it held and deadlocks.  The
-        # process backend forks lazily at submit, so the server must be
-        # a single-forker: one process-backend run at a time, with the
-        # run's own jobs=N worker pool providing the parallelism.
-        self._fork_lock = threading.Lock()
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set["asyncio.Task[Any]"] = set()
         self._stop: Optional[asyncio.Event] = None
@@ -305,7 +292,6 @@ class ReproServer:
             "status": "draining" if self.draining else "ok",
             "inflight": self._admission.running,
             "admitted": self._admission.admitted,
-            "backend": self.backend,
             "jobs": self.jobs,
             "pipelines": _pipelines.pipeline_names(),
         }
@@ -453,7 +439,7 @@ class ReproServer:
 
     def _load_pag(self, req: AnalyzeRequest) -> Any:
         from repro.pag.formats import detect_format, load_pag, pag_from_dict
-        from repro.pag.serialize import PAGFormatError
+        from repro.pag.formats import PAGFormatError
 
         try:
             if req.pag_doc is not None:
@@ -498,13 +484,11 @@ class ReproServer:
             pipeline=prepared.request.pipeline,
             fingerprint=prepared.fingerprint[:16],
         ):
-            with self._fork_lock if self.backend == "process" else _NULL_CM:
-                out = prepared.graph.run(
-                    jobs=self.jobs,
-                    backend=self.backend,
-                    cache=self.cache if self.cache is not None else False,
-                    V=prepared.pag.vs,
-                )
+            out = prepared.graph.run(
+                jobs=self.jobs,
+                cache=self.cache if self.cache is not None else False,
+                V=prepared.pag.vs,
+            )
         return out["result"]
 
     def _append_ledger(

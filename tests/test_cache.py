@@ -114,7 +114,7 @@ def test_fingerprint_ignores_unused_interned_strings():
 
 
 def test_fingerprint_survives_save_load(tmp_path):
-    from repro.pag.serialize import load_pag, save_pag
+    from repro.pag.formats import load_pag, save_pag
 
     pag = make_pag()
     pag.metadata["case"] = "x"
@@ -434,8 +434,8 @@ def test_wavefront_warm_run_skips_every_pass():
     pag = make_pag()
     cache = PassCache()
     g = _pipeline(pag)
-    out1 = g.run(jobs=4, backend="thread", cache=cache, V=pag.vs)
-    out2 = _pipeline(pag).run(jobs=4, backend="thread", cache=cache, V=pag.vs)
+    out1 = g.run(jobs=4, cache=cache, V=pag.vs)
+    out2 = _pipeline(pag).run(jobs=4, cache=cache, V=pag.vs)
     assert EXEC_LOG == ["keep_slow", "top_n", "names"]
     assert _counter("dataflow.cache.hits") == 3
     assert out2["names"] == out1["names"]
@@ -456,9 +456,9 @@ def test_serial_and_wavefront_share_cache_entries():
 def test_mutation_invalidates_cached_results():
     pag = make_pag()
     cache = PassCache()
-    _pipeline(pag).run(backend="thread", cache=cache, V=pag.vs)
+    _pipeline(pag).run(cache=cache, V=pag.vs)
     pag.vertex(5)["time"] = 123.0
-    out = _pipeline(pag).run(backend="thread", cache=cache, V=pag.vs)
+    out = _pipeline(pag).run(cache=cache, V=pag.vs)
     assert EXEC_LOG == ["keep_slow", "top_n", "names"] * 2  # all re-executed
     assert out["names"][0] == "f5"
 
@@ -466,8 +466,8 @@ def test_mutation_invalidates_cached_results():
 def test_closure_parameter_changes_miss():
     pag = make_pag()
     cache = PassCache()
-    _pipeline(pag, top=3).run(backend="thread", cache=cache, V=pag.vs)
-    out = _pipeline(pag, top=2).run(backend="thread", cache=cache, V=pag.vs)
+    _pipeline(pag, top=3).run(cache=cache, V=pag.vs)
+    out = _pipeline(pag, top=2).run(cache=cache, V=pag.vs)
     # keep_slow is param-independent (hit); top_n and names re-execute
     assert EXEC_LOG == ["keep_slow", "top_n", "names", "top_n", "names"]
     assert len(out["names"]) == 2
@@ -535,10 +535,10 @@ def test_fixpoint_results_cached():
 
     cache = PassCache()
     seed = VertexSet([pag.vertex(0)])
-    out1 = build().run(backend="thread", cache=cache, V=seed)
+    out1 = build().run(cache=cache, V=seed)
     n_cold = len(EXEC_LOG)
     assert n_cold > 1
-    out2 = build().run(backend="thread", cache=cache, V=seed)
+    out2 = build().run(cache=cache, V=seed)
     assert len(EXEC_LOG) == n_cold  # warm run never iterated
     assert _counter("dataflow.cache.hits") == 1
     assert list(out2["grow"].ids()) == list(out1["grow"].ids())
@@ -586,7 +586,6 @@ def test_session_counters_mirror_metrics():
 def test_run_cache_env_default(monkeypatch):
     pag = make_pag()
     monkeypatch.setenv("PERFLOW_CACHE", "1")
-    monkeypatch.setenv("PERFLOW_BACKEND", "thread")
     monkeypatch.delenv("PERFLOW_CACHE_DIR", raising=False)
     reset_default_cache()
     _pipeline(pag).run(V=pag.vs)

@@ -300,7 +300,7 @@ def test_parallel_run_records_worker_tagged_spans():
     g.add_pass(lambda *vs: sum(len(v) for v in vs), *mids, name="join")
     rec = obs_trace.enable()
     try:
-        out = g.run(jobs=4, backend="thread", x=[1, 2, 3])
+        out = g.run(jobs=4, x=[1, 2, 3])
     finally:
         obs_trace.disable()
     assert out["join"] == 12

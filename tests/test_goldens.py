@@ -144,35 +144,6 @@ def test_golden_scalability_microbench(micro_ctx):
     _check_golden("scalability_microbench.txt", _render_scalability(res))
 
 
-def test_golden_mpi_profiler_microbench_process_backend(micro_ctx):
-    """backend="process" must reproduce the committed golden byte-equal:
-    the shared-memory transport cannot perturb analysis results."""
-    pflow, pags = micro_ctx
-    rows = mpi_profiler_paradigm(
-        pflow, pags[4], top=10, jobs=2, backend="process"
-    )
-    _check_golden("mpi_profiler_microbench.txt", _render_mpi_rows(rows))
-
-
-def test_golden_mpi_profiler_cg_process_backend():
-    pflow = PerFlow()
-    pag = pflow.run(bin=registry("W")["cg"](), nprocs=8)
-    rows = mpi_profiler_paradigm(pflow, pag, top=10, jobs=2, backend="process")
-    assert len(rows) > 0
-    _check_golden("mpi_profiler_cg.txt", _render_mpi_rows(rows))
-
-
-def test_golden_scalability_microbench_process_backend(micro_ctx):
-    """The scalability graph's impure stages pin to the coordinator and
-    its fresh difference PAG degrades downstream passes to inline runs —
-    but results must stay byte-identical to the golden either way."""
-    pflow, pags = micro_ctx
-    res = scalability_analysis_paradigm(
-        pflow, pags[4], pags[16], top=5, max_ranks=8, jobs=2, backend="process"
-    )
-    _check_golden("scalability_microbench.txt", _render_scalability(res))
-
-
 def test_golden_critical_path_microbench(micro_ctx):
     pflow, pags = micro_ctx
     res = critical_path_paradigm(

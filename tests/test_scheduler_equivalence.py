@@ -9,10 +9,11 @@ node.  A second property injects a raising pass at a random position
 and asserts the parallel run surfaces the *same* first error (type and
 message) as the serial sweep, with no hung or leaked worker threads.
 
-A third and fourth property draw the *backend* too — ``thread`` or
-``process`` — pinning the multiprocessing pool to the same node-for-node
-results and first-error contract as serial execution (fewer examples:
-each process-backend run forks a fresh pool).
+Three more properties draw ``jobs`` from {1, 2, 3} and pin every run to
+the old serial sweep kept verbatim in :mod:`tests.reference_scheduler`:
+outputs and the multiset of ``node:<name>`` spans (with their
+``in_size``/``out_size``/``cache_hit`` args), the deterministic first
+error, and cache hits under a result cache.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheSession, PassCache
 from repro.dataflow.graph import PerFlowGraph
+from repro.obs import trace as obs_trace
+from tests.reference_scheduler import run_serial
 
 # ----------------------------------------------------------------------
 # pure set-pass vocabulary (all deterministic, all thread-safe)
@@ -107,12 +111,13 @@ def _producer_is_split(nodes, n_inputs, idx):
     return idx >= n_inputs and nodes[idx - n_inputs][0] == "split"
 
 
-def build_graph(spec, poison_at=None):
+def build_graph(spec, poison_at=(), wrap=None):
     """Materialize a spec as a PerFlowGraph; optionally poison one node.
 
     Split producers are consumed through ``.out(parity)`` fan-out;
-    everything else flows whole.  ``poison_at`` (a node index) wraps
-    that node's function to raise ``ValueError('poisoned node <i>')``.
+    everything else flows whole.  ``poison_at`` (node indices) wraps
+    each such node's function to raise ``ValueError('poisoned node <i>')``;
+    ``wrap`` maps every pass function before it is added.
     """
     inputs, nodes = spec
     g = PerFlowGraph("prop")
@@ -137,13 +142,16 @@ def build_graph(spec, poison_at=None):
         else:  # fixpoint
             fn, wired = _closure_step, (pick(0, wiring[0]),)
 
-        if poison_at == i:
+        if i in poison_at:
             msg = f"poisoned node {i}"
 
             def poisoned(*args, _msg=msg):
                 raise ValueError(_msg)
 
             fn = poisoned
+
+        if wrap is not None:
+            fn = wrap(fn)
 
         if kind == "fixpoint":
             refs.append(g.add_fixpoint(fn, wired[0], max_iters=16, name=f"n{i}"))
@@ -182,7 +190,7 @@ def test_parallel_results_equal_serial(spec):
 def test_injected_error_matches_serial(spec, data):
     _, nodes = spec
     poison_at = data.draw(st.integers(0, len(nodes) - 1), label="poison_at")
-    g, bindings = build_graph(spec, poison_at=poison_at)
+    g, bindings = build_graph(spec, poison_at=(poison_at,))
 
     with pytest.raises(ValueError) as serial_exc:
         g.run(jobs=1, **bindings)
@@ -195,51 +203,110 @@ def test_injected_error_matches_serial(spec, data):
     assert threading.active_count() <= before  # pool joined, no leaks
 
 
-# Process-backend examples fork a pool per run; keep the draw count low
-# enough that the property stays in CI budget on small machines.
-_BACKEND_SETTINGS = settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-
-_BACKENDS = st.sampled_from(["thread", "process"])
+_JOBS = st.sampled_from([1, 2, 3])
 
 
-@_BACKEND_SETTINGS
-@given(spec=graph_specs(), backend=_BACKENDS)
-def test_backend_results_equal_serial(spec, backend):
-    g, bindings = build_graph(spec)
-    serial = g.run(jobs=1, **bindings)
-    parallel = g.run(jobs=2, backend=backend, **bindings)
-    assert list(parallel) == list(serial)  # same names, same order
-    for name in serial:
-        assert parallel[name] == serial[name], (
-            f"node {name!r} diverged on backend={backend}"
+def _node_spans(rec):
+    """Multiset of node spans with the args every executor must agree on."""
+    return sorted(
+        (
+            sp.name,
+            repr(sp.args.get("in_size")),
+            repr(sp.args.get("out_size")),
+            repr(sp.args.get("cache_hit")),
         )
+        for sp in rec.spans
+        if sp.name.startswith("node:")
+    )
 
 
-@_BACKEND_SETTINGS
+def _traced(fn):
+    """``(fn(), node spans, recorder)`` with tracing enabled around the call."""
+    rec = obs_trace.enable()
+    try:
+        out = fn()
+    finally:
+        obs_trace.disable()
+    return out, _node_spans(rec), rec
+
+
+@_SETTINGS
+@given(spec=graph_specs(), jobs=_JOBS)
+def test_jobs_results_and_spans_equal_reference(spec, jobs):
+    g, bindings = build_graph(spec)
+    ref, ref_spans, _ = _traced(lambda: run_serial(g, bindings))
+    out, spans, _ = _traced(lambda: g.run(jobs=jobs, cache=False, **bindings))
+    assert list(out) == list(ref)  # same names, same order
+    for name in ref:
+        assert out[name] == ref[name], f"node {name!r} diverged at jobs={jobs}"
+    assert spans == ref_spans
+
+
+@_SETTINGS
 @given(spec=graph_specs(), data=st.data())
-def test_backend_injected_error_matches_serial(spec, data):
+def test_jobs_injected_error_matches_reference(spec, data):
     _, nodes = spec
-    backend = data.draw(_BACKENDS, label="backend")
-    poison_at = data.draw(st.integers(0, len(nodes) - 1), label="poison_at")
+    jobs = data.draw(_JOBS, label="jobs")
+    poison_at = data.draw(
+        st.sets(st.integers(0, len(nodes) - 1), min_size=1, max_size=2),
+        label="poison_at",
+    )
     g, bindings = build_graph(spec, poison_at=poison_at)
 
-    with pytest.raises(ValueError) as serial_exc:
-        g.run(jobs=1, **bindings)
-    with pytest.raises(ValueError) as parallel_exc:
-        g.run(jobs=2, backend=backend, **bindings)
-    assert str(parallel_exc.value) == str(serial_exc.value)
-    assert type(parallel_exc.value) is type(serial_exc.value)
+    def raised(run):
+        with pytest.raises(ValueError) as info:
+            run()
+        return info.value
+
+    ref_exc, ref_spans, _ = _traced(lambda: raised(lambda: run_serial(g, bindings)))
+    exc, spans, _ = _traced(
+        lambda: raised(lambda: g.run(jobs=jobs, cache=False, **bindings))
+    )
+    assert str(exc) == str(ref_exc)
+    assert type(exc) is type(ref_exc)
+    if jobs == 1:  # inline: nothing after the first failure runs
+        assert spans == ref_spans
 
 
-def test_process_backend_fixpoint_and_fanout():
+def _as_tuples(value):
+    """Sorted int tuples (content-keyed, so cacheable) for frozensets."""
+    if isinstance(value, tuple):  # a split's (evens, odds)
+        return tuple(_as_tuples(v) for v in value)
+    return tuple(sorted(value))
+
+
+def _tupled(fn):
+    def over_tuples(*args):
+        return _as_tuples(fn(*(frozenset(a) for a in args)))
+
+    return over_tuples
+
+
+@_SETTINGS
+@given(spec=graph_specs(), jobs=_JOBS)
+def test_jobs_cache_hits_match_reference(spec, jobs):
+    g, bindings = build_graph(spec, wrap=_tupled)
+    bindings = {k: _as_tuples(v) for k, v in bindings.items()}
+    ref_cache, cache = PassCache(), PassCache()
+    for warm in (False, True):
+        session = CacheSession(ref_cache)
+        ref, ref_spans, _ = _traced(lambda: run_serial(g, bindings, session))
+        out, spans, rec = _traced(lambda: g.run(jobs=jobs, cache=cache, **bindings))
+        hits = rec.find(f"pipeline:{g.name}")[0].args["cache_hits"]
+        assert out == ref
+        # A cold pool run may probe two identically keyed nodes before
+        # either stores; only the inline run is order-exact when cold.
+        if warm or jobs == 1:
+            assert hits == session.hits
+            assert spans == ref_spans
+    assert session.hits == sum(node.kind != "input" for node in g._nodes)
+
+
+def test_jobs_fixpoint_and_fanout():
     """Deterministic cover: ``.out(i)`` fan-out feeding a fixpoint node
-    and a diamond merge, byte-identical across serial and process runs."""
+    and a diamond merge, identical inline (jobs=1) and on a pool."""
     def build():
-        g = PerFlowGraph("proc-fan")
+        g = PerFlowGraph("fan")
         x = g.input("x")
         split = g.add_pass(_split_parity, x, name="split")
         evens = g.add_pass(_shift, split.out(0), name="evens")
@@ -249,9 +316,9 @@ def test_process_backend_fixpoint_and_fanout():
         return g
 
     bindings = {"x": frozenset(range(17))}
-    serial = build().run(jobs=1, **bindings)
-    proc = build().run(jobs=3, backend="process", **bindings)
-    assert proc == serial
+    inline = build().run(jobs=1, **bindings)
+    pooled = build().run(jobs=3, **bindings)
+    assert pooled == inline == run_serial(build(), bindings)
 
 
 def test_serial_and_parallel_share_fixpoint_iterates():

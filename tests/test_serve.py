@@ -238,7 +238,7 @@ def _wait_for(cond, timeout=10.0, what="condition"):
 
 def test_admission_control_429(ring_pag_doc, test_pipelines):
     with ServerThread(
-        ServerConfig(port=0, max_concurrent=1, max_queue=0, backend="thread")
+        ServerConfig(port=0, max_concurrent=1, max_queue=0)
     ) as st:
         results = {}
 
@@ -298,7 +298,7 @@ def _json_bytes(doc) -> bytes:
 def test_single_flight_collapses_identical_requests(ring_pag_doc, test_pipelines):
     """Satellite: N identical concurrent requests execute exactly once."""
     n = 8
-    with ServerThread(ServerConfig(port=0, cache=True, max_concurrent=4, backend="thread")) as st:
+    with ServerThread(ServerConfig(port=0, cache=True, max_concurrent=4)) as st:
         results = [None] * n
 
         def worker(i):
@@ -337,7 +337,7 @@ def test_single_flight_collapses_identical_requests(ring_pag_doc, test_pipelines
 def test_failed_leader_does_not_poison_followers(ring_pag_doc, test_pipelines):
     """Satellite: followers of a failed leader re-execute, not re-raise."""
     FAIL_REMAINING["n"] = 1
-    with ServerThread(ServerConfig(port=0, max_concurrent=4, backend="thread")) as st:
+    with ServerThread(ServerConfig(port=0, max_concurrent=4)) as st:
         results = {}
 
         def worker(tag):
@@ -392,7 +392,7 @@ def test_draining_rejects_new_requests(ring_pag_doc):
 
 
 def test_drain_completes_inflight_requests(ring_pag_doc, test_pipelines):
-    st = ServerThread(ServerConfig(port=0, drain_timeout=20.0, backend="thread")).start()
+    st = ServerThread(ServerConfig(port=0, drain_timeout=20.0)).start()
     results = {}
 
     def worker():

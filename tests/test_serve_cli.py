@@ -3,8 +3,7 @@
 Drives the server exactly the way an operator does — ``python -m repro
 serve`` — and checks the lifecycle guarantees the docs promise: the
 bound address is announced on stdout, requests work over real sockets,
-SIGTERM drains gracefully to exit code 0, and the process backend
-leaves no shared-memory segments behind.
+and SIGTERM drains gracefully to exit code 0.
 """
 
 from __future__ import annotations
@@ -121,33 +120,6 @@ def test_serve_subprocess_sigterm_drains_cleanly(tmp_path, pag_file):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-
-
-def test_serve_process_backend_leaks_no_shm(tmp_path, pag_file):
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    before = set(os.listdir("/dev/shm"))
-    proc = _spawn(tmp_path, "--backend", "process", "--jobs", "2")
-    try:
-        host, port = _await_announce(proc)
-        wait_ready(host, port)
-        status, events = analyze(
-            host,
-            port,
-            {"pipeline": "mpi_profiler", "pag_path": str(pag_file)},
-        )
-        assert status == 200
-        assert events[-1]["event"] == "result"
-        rc = _terminate(proc)
-        assert rc == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    # Same idiom as tests/test_procpool_faults.py: the drain must return
-    # every shared-memory segment the process pool created.
-    leaked = set(os.listdir("/dev/shm")) - before
-    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
 
 def test_serve_rejects_bad_flags(tmp_path):
