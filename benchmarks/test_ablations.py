@@ -7,7 +7,7 @@ on this substrate:
 * sampling frequency vs collection overhead (the 200 Hz choice);
 * parallel-view size: linear in rank count (why Table 2's parallel
   columns are |V|_td x 128);
-* subgraph matching: anchored label-pruned search vs whole-graph search.
+* subgraph matching: search anchored at suspects vs whole-graph search.
 """
 
 import pytest

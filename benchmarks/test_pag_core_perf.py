@@ -11,7 +11,11 @@ vertices):
 * per-vertex memory must beat a per-element ``dict`` representation of
   the same data by ≥3×,
 * bulk column reads/sorts must beat the equivalent per-element handle
-  loops by ≥2×.
+  loops by ≥2×,
+* contention detection on the thread-expanded Vite parallel view (the
+  ``repro paradigm contention vite --np 4 --threads 3`` view, 114k
+  vertices) must stay inside a wall-time budget, for both the pass's
+  50-embedding search and the unlimited search around the same anchors.
 
 Each test prints one JSON line (run with ``-s`` to capture) so the
 numbers can be tracked across commits by the CI perf-smoke job.
@@ -26,7 +30,11 @@ import time
 import pytest
 
 import repro.dataflow  # noqa: F401 - resolves the passes/dataflow import cycle
+from repro.algorithms import subgraph_matching
 from repro.apps import lammps, registry
+from repro.dataflow.api import PerFlow
+from repro.pag.sets import VertexSet
+from repro.passes.contention import contention_detection, default_contention_pattern
 from repro.passes.hotspot import hotspot_detection
 from repro.passes.imbalance import imbalance_analysis
 from repro.pag.views import build_parallel_view, build_top_down_view
@@ -37,6 +45,8 @@ from repro.runtime.executor import run_program
 BUDGET_PARALLEL_VIEW = 10.0
 BUDGET_TD_PIPELINE = 1.0
 BUDGET_PV_HOTSPOT = 2.0
+BUDGET_CONTENTION_PASS = 1.5
+BUDGET_CONTENTION_ALL = 8.0
 
 SCALED_RANKS = 16  #: flows materialized in the parallel view
 
@@ -195,3 +205,37 @@ def test_bulk_reads_beat_per_element_loops(lammps_pag):
     )
     assert values_speedup >= 2.0
     assert sort_speedup >= 2.0
+
+
+#: The allocator call sites the Vite model serializes on.
+VITE_ALLOCATOR_SITES = ("_M_realloc_insert", "allocate", "_M_emplace", "deallocate")
+
+
+def test_vite_contention_search_budget():
+    pflow = PerFlow()
+    pag = pflow.run(bin=registry("S")["vite"](), nprocs=4, nthreads=3)
+    pv = pflow.parallel_view(pag, max_ranks=4, expand_threads=True)
+    suspects = VertexSet([v for v in pv.vertices() if v.name in VITE_ALLOCATOR_SITES])
+
+    t0 = time.perf_counter()
+    V_cont, E_cont = contention_detection(suspects)
+    pass_elapsed = time.perf_counter() - t0
+    hubs = {v["contention_hub"].split("@")[0] for v in V_cont}
+    assert {"_M_realloc_insert", "allocate", "_M_emplace"} <= hubs
+
+    anchors = [pv.vertex(vid) for vid in sorted({v.id for v in suspects})]
+    t1 = time.perf_counter()
+    everything = subgraph_matching(pv, default_contention_pattern(), candidates=anchors)
+    all_elapsed = time.perf_counter() - t1
+    assert len(everything) > 50
+    _emit(
+        "vite_contention_search",
+        pv_vertices=pv.num_vertices,
+        pass_vertices=len(V_cont),
+        pass_seconds=round(pass_elapsed, 4),
+        all_embeddings=len(everything),
+        all_seconds=round(all_elapsed, 4),
+        budgets=[BUDGET_CONTENTION_PASS, BUDGET_CONTENTION_ALL],
+    )
+    assert pass_elapsed < BUDGET_CONTENTION_PASS
+    assert all_elapsed < BUDGET_CONTENTION_ALL

@@ -2,26 +2,39 @@
 
 Paper §4.3.2-D: resource-contention misbehaviours have characteristic
 shapes on the parallel view; contention detection searches all
-embeddings of small candidate pattern graphs.  We implement a VF2-style
-backtracking matcher with label/degree pruning — patterns have a
-handful of vertices, so the search is dominated by candidate filtering.
+embeddings of small candidate pattern graphs.
 
 Pattern vertices may constrain the data-graph vertex by ``label``
 (VertexLabel), ``call_kind``, ``name`` glob, or an arbitrary predicate;
 pattern edges may constrain by ``label`` (EdgeLabel) or predicate.
 Unconstrained pattern elements match anything, so Listing 6's abstract
-A..E pattern is expressible directly.
+A..E pattern is expressible directly.  A pattern edge joins two distinct
+pattern vertices (self-loops are rejected).
+
+The search is a backtracking matcher over integer vertex and edge ids.
+Pattern vertices are placed in a connected-first order (highest pattern
+degree first).  A vertex joined to already-placed ones draws its
+candidates from the shortest of the label-filtered neighbour lists of
+its placed neighbours; each such list is read once per (pattern edge,
+data vertex) from the PAG's adjacency and edge columns and memoized.
+Vertex constraints compare label and call-kind codes and a per-name-id
+glob memo.  A sound feasibility filter, memoized per (pattern vertex,
+data vertex), drops a candidate that has fewer distinct neighbours
+(itself excluded) than the pattern vertex has distinct pattern
+neighbours, per edge label and in total; pattern edges with a predicate
+are left out of those counts.  A pruned candidate could yield no
+embedding, so pruning never changes the result.  Handles are created
+only to call predicates and for the returned embeddings.
 """
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.pag.edge import Edge, EdgeLabel
+from repro.pag.edge import ELABEL_CODE, Edge, EdgeLabel
 from repro.pag.graph import PAG
-from repro.pag.vertex import CallKind, Vertex, VertexLabel
+from repro.pag.vertex import CALLKIND_CODE, VLABEL_CODE, CallKind, Vertex, VertexLabel
 
 
 @dataclass
@@ -32,17 +45,6 @@ class _PatternVertex:
     name: Optional[str] = None
     predicate: Optional[Callable[[Vertex], bool]] = None
 
-    def matches(self, v: Vertex) -> bool:
-        if self.label is not None and v.label is not self.label:
-            return False
-        if self.call_kind is not None and v.call_kind is not self.call_kind:
-            return False
-        if self.name is not None and not fnmatch.fnmatchcase(v.name, self.name):
-            return False
-        if self.predicate is not None and not self.predicate(v):
-            return False
-        return True
-
 
 @dataclass
 class _PatternEdge:
@@ -50,13 +52,6 @@ class _PatternEdge:
     dst: Any
     label: Optional[EdgeLabel] = None
     predicate: Optional[Callable[[Edge], bool]] = None
-
-    def matches(self, e: Edge) -> bool:
-        if self.label is not None and e.label is not self.label:
-            return False
-        if self.predicate is not None and not self.predicate(e):
-            return False
-        return True
 
 
 class PatternGraph:
@@ -96,9 +91,13 @@ class PatternGraph:
         label: Optional[EdgeLabel] = None,
         predicate: Optional[Callable[[Edge], bool]] = None,
     ) -> "PatternGraph":
+        """Add the pattern edge ``src -> dst``; parallel edges are allowed,
+        self-loops (``src == dst``) raise ``ValueError``."""
         for key in (src, dst):
             if key not in self._vertices:
                 raise KeyError(f"pattern vertex {key!r} not declared")
+        if src == dst:
+            raise ValueError(f"self-loop pattern edge on {src!r}")
         self._edges.append(_PatternEdge(src, dst, label, predicate))
         return self
 
@@ -146,6 +145,42 @@ class PatternGraph:
             remaining.remove(nxt)
         return order
 
+    def _links(self, order: List[Any]) -> List[List[Tuple[int, int, bool]]]:
+        """Per search position, the pattern edges to earlier positions as
+        ``(edge index, earlier position, forward)``: edges leaving the
+        vertex first, then edges entering it, each in insertion order.
+        ``forward`` means the data edge runs from the placed vertex to the
+        candidate, so candidates come from the placed vertex's out-list."""
+        pos = {key: i for i, key in enumerate(order)}
+        links: List[List[Tuple[int, int, bool]]] = []
+        for i, key in enumerate(order):
+            leaving = [
+                (p, pos[pe.dst], False)
+                for p, pe in enumerate(self._edges)
+                if pe.src == key and pos[pe.dst] < i
+            ]
+            entering = [
+                (p, pos[pe.src], True)
+                for p, pe in enumerate(self._edges)
+                if pe.dst == key and pos[pe.src] < i
+            ]
+            links.append(leaving + entering)
+        return links
+
+    def _needs(self, key: Any) -> Tuple[int, Dict[int, int]]:
+        """Distinct pattern neighbours of ``key`` over predicate-free edges:
+        the total, and per edge-label code for labeled edges."""
+        total: Set[Any] = set()
+        by_label: Dict[int, Set[Any]] = {}
+        for pe in self._edges:
+            if pe.predicate is not None or key not in (pe.src, pe.dst):
+                continue
+            other = pe.dst if pe.src == key else pe.src
+            total.add(other)
+            if pe.label is not None:
+                by_label.setdefault(ELABEL_CODE[pe.label], set()).add(other)
+        return len(total), {code: len(ks) for code, ks in by_label.items()}
+
 
 @dataclass
 class Embedding:
@@ -163,97 +198,165 @@ def subgraph_matching(
 ) -> List[Embedding]:
     """All embeddings of ``pattern`` in ``pag`` (injective on vertices).
 
-    ``candidates`` restricts the anchor (first pattern vertex in search
-    order) to the given vertices — the contention pass searches "around"
+    ``candidates`` (vertices of ``pag``) restricts the anchor — the first
+    pattern vertex in search order — to those vertices, in the given
+    order and with repeats kept; the contention pass searches "around"
     its input set this way instead of over the whole graph.  ``limit``
-    caps the number of embeddings returned.
+    caps the number of embeddings returned: ``None`` means all, ``0``
+    returns ``[]``, and a negative limit raises ``ValueError``.
+
+    Embeddings come in backtracking order.  Each maps pattern keys (in
+    search order) to data vertices; its edges are, per pattern vertex in
+    search order, the lowest-id data edge matching each pattern edge to
+    an earlier vertex.  Parallel data edges make a candidate appear once
+    per edge, so they repeat embeddings.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"subgraph_matching: limit must be >= 0, got {limit}")
     order = pattern._search_order()
-    if not order:
+    if not order or limit == 0:
         return []
-    out_adj, in_adj = pattern._adjacency()
+    n = len(order)
+    links = pattern._links(order)
+    pvs = [pattern._vertices[key] for key in order]
+    pes = pattern._edges
+    needs = [pattern._needs(key) for key in order]
+    need_codes = sorted({code for _total, by in needs for code in by})
+
+    out, inn = pag._ensure_adj()
+    e_src, e_dst, e_label = pag._e_src, pag._e_dst, pag._e_label
+    v_label, v_kind, v_name = pag._v_label, pag._v_kind, pag._v_name
+    num_vertices = pag.num_vertices
+
+    glob_memos: List[Dict[int, bool]] = [{} for _ in order]
+
+    def vertex_ok(i: int, v: int) -> bool:
+        pv = pvs[i]
+        if pv.label is not None and v_label[v] != VLABEL_CODE[pv.label]:
+            return False
+        if pv.call_kind is not None and v_kind[v] != CALLKIND_CODE[pv.call_kind]:
+            return False
+        if pv.name is not None:
+            sid = v_name[v]
+            hit = glob_memos[i].get(sid)
+            if hit is None:
+                hit = glob_memos[i][sid] = bool(pag.strings.glob_mask(pv.name, (sid,))[0])
+            if not hit:
+                return False
+        return pv.predicate is None or bool(pv.predicate(Vertex._attached(pag, v)))
+
+    degree_memo: Dict[int, Tuple[int, Dict[int, int]]] = {}
+
+    def distinct_degree(v: int) -> Tuple[int, Dict[int, int]]:
+        """Distinct neighbours of ``v`` (itself excluded): the total, and
+        per edge-label code the pattern constrains."""
+        hit = degree_memo.get(v)
+        if hit is None:
+            total: Set[int] = set()
+            by_label: Dict[int, Set[int]] = {code: set() for code in need_codes}
+            for eids, ends in ((out[v], e_dst), (inn[v], e_src)):
+                for eid in eids:
+                    u = ends[eid]
+                    if u != v:
+                        total.add(u)
+                        bucket = by_label.get(e_label[eid])
+                        if bucket is not None:
+                            bucket.add(u)
+            hit = degree_memo[v] = (
+                len(total),
+                {code: len(us) for code, us in by_label.items()},
+            )
+        return hit
+
+    host_memos: List[Dict[int, bool]] = [{} for _ in order]
+
+    def can_host(i: int, v: int) -> bool:
+        """``v`` satisfies pattern vertex ``i`` and the feasibility filter."""
+        memo = host_memos[i]
+        ok = memo.get(v)
+        if ok is None:
+            ok = vertex_ok(i, v)
+            need_total, need_by = needs[i]
+            if ok and need_total:
+                have_total, have_by = distinct_degree(v)
+                ok = have_total >= need_total and all(
+                    have_by[code] >= k for code, k in need_by.items()
+                )
+            memo[v] = ok
+        return ok
+
+    nbr_memos: List[Dict[int, Tuple[List[int], Dict[int, int]]]] = [{} for _ in pes]
+
+    def neighbours(p: int, x: int, forward: bool) -> Tuple[List[int], Dict[int, int]]:
+        """Data vertices joined to ``x`` by edges matching pattern edge ``p``
+        — one entry per edge, in edge-id order — and the first such edge
+        id per neighbour."""
+        memo = nbr_memos[p]
+        hit = memo.get(x)
+        if hit is None:
+            pe = pes[p]
+            code = None if pe.label is None else ELABEL_CODE[pe.label]
+            eids, ends = (out[x], e_dst) if forward else (inn[x], e_src)
+            nbrs: List[int] = []
+            first: Dict[int, int] = {}
+            for eid in eids:
+                if code is not None and e_label[eid] != code:
+                    continue
+                if pe.predicate is not None and not pe.predicate(Edge._attached(pag, eid)):
+                    continue
+                u = ends[eid]
+                nbrs.append(u)
+                first.setdefault(u, eid)
+            hit = memo[x] = (nbrs, first)
+        return hit
+
+    every: Dict[int, List[int]] = {}
+
+    def unconstrained_pool(i: int) -> List[int]:
+        """All data vertices, in id order, that can host position ``i``."""
+        if i not in every:
+            every[i] = [v for v in range(num_vertices) if can_host(i, v)]
+        return every[i]
+
+    anchors = None if candidates is None else [v.id for v in candidates]
     results: List[Embedding] = []
+    mapped = [0] * n
+    used: Set[int] = set()
+    edge_ids: List[int] = []
 
-    anchor_pool: Iterable[Vertex]
-    pv0 = pattern._vertices[order[0]]
-    if candidates is not None:
-        anchor_pool = [v for v in candidates if pv0.matches(v)]
-    else:
-        anchor_pool = (v for v in pag.vertices() if pv0.matches(v))
-
-    def candidates_for(key: Any, mapping: Dict[Any, Vertex]) -> Iterator[Vertex]:
-        """Data vertices adjacent to already-mapped pattern neighbors."""
-        pv = pattern._vertices[key]
-        pools: List[List[Vertex]] = []
-        for pe in out_adj[key]:
-            if pe.dst in mapping:
-                pool = [
-                    e.src
-                    for e in pag.in_edges(mapping[pe.dst].id)
-                    if pe.matches(e)
-                ]
-                pools.append(pool)
-        for pe in in_adj[key]:
-            if pe.src in mapping:
-                pool = [
-                    e.dst
-                    for e in pag.out_edges(mapping[pe.src].id)
-                    if pe.matches(e)
-                ]
-                pools.append(pool)
-        if not pools:
-            yield from (v for v in pag.vertices() if pv.matches(v))
-            return
-        base = min(pools, key=len)
-        other_ids = [{v.id for v in p} for p in pools if p is not base]
-        for v in base:
-            if pv.matches(v) and all(v.id in ids for ids in other_ids):
-                yield v
-
-    def check_edges(key: Any, v: Vertex, mapping: Dict[Any, Vertex]) -> Optional[List[Edge]]:
-        """Verify every pattern edge between ``key`` and mapped keys."""
-        matched: List[Edge] = []
-        for pe in out_adj[key]:
-            if pe.dst in mapping:
-                hits = [
-                    e
-                    for e in pag.out_edges(v.id)
-                    if e.dst_id == mapping[pe.dst].id and pe.matches(e)
-                ]
-                if not hits:
-                    return None
-                matched.append(hits[0])
-        for pe in in_adj[key]:
-            if pe.src in mapping:
-                hits = [
-                    e
-                    for e in pag.in_edges(v.id)
-                    if e.src_id == mapping[pe.src].id and pe.matches(e)
-                ]
-                if not hits:
-                    return None
-                matched.append(hits[0])
-        return matched
-
-    def backtrack(idx: int, mapping: Dict[Any, Vertex], edges: List[Edge]) -> bool:
-        """Returns True when the embedding limit is reached."""
-        if idx == len(order):
-            results.append(Embedding(dict(mapping), list(edges)))
+    def extend(i: int) -> bool:
+        """Place positions ``i..``; True once ``limit`` is reached."""
+        if i == n:
+            results.append(
+                Embedding(
+                    {order[t]: Vertex._attached(pag, mapped[t]) for t in range(n)},
+                    [Edge._attached(pag, eid) for eid in edge_ids],
+                )
+            )
             return limit is not None and len(results) >= limit
-        key = order[idx]
-        used = {v.id for v in mapping.values()}
-        pool = anchor_pool if idx == 0 else candidates_for(key, mapping)
+        firsts: List[Dict[int, int]] = []
+        if not links[i]:
+            pool = anchors if i == 0 and anchors is not None else unconstrained_pool(i)
+            others: List[Dict[int, int]] = []
+        else:
+            found = [neighbours(p, mapped[j], fwd) for p, j, fwd in links[i]]
+            base = min(range(len(found)), key=lambda t: len(found[t][0]))
+            pool = found[base][0]
+            firsts = [first for _nbrs, first in found]
+            others = [first for t, first in enumerate(firsts) if t != base]
         for v in pool:
-            if v.id in used:
+            if v in used or not all(v in first for first in others):
                 continue
-            matched = check_edges(key, v, mapping)
-            if matched is None:
+            if not can_host(i, v):
                 continue
-            mapping[key] = v
-            if backtrack(idx + 1, mapping, edges + matched):
+            mapped[i] = v
+            used.add(v)
+            edge_ids.extend(first[v] for first in firsts)
+            if extend(i + 1):
                 return True
-            del mapping[key]
+            del edge_ids[len(edge_ids) - len(firsts):]
+            used.discard(v)
         return False
 
-    backtrack(0, {}, [])
+    extend(0)
     return results

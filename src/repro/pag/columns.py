@@ -46,8 +46,10 @@ the ``pag.columns.materialized`` metric (attachments on
 
 from __future__ import annotations
 
+import fnmatch
+import re
 from array import array
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,9 +135,23 @@ class StringTable:
     def __iter__(self) -> Iterator[str]:
         return iter(self._strings)
 
-    def matching_ids(self, predicate: Callable[[str], bool]) -> "set[int]":
-        """Ids of all interned strings satisfying ``predicate``."""
-        return {i for i, s in enumerate(self._strings) if predicate(s)}
+    def glob_mask(self, pattern: str, sids: Sequence[int]) -> np.ndarray:
+        """Which of the string ids ``sids`` match the glob ``pattern``.
+
+        Matching is case-sensitive :func:`fnmatch.fnmatchcase` semantics
+        through one compiled regex, applied once per *distinct* id in
+        ``sids`` (never to the rest of the table).  Returns a boolean
+        array aligned with ``sids``.
+        """
+        uniq, inverse = np.unique(np.asarray(sids, dtype=np.int64), return_inverse=True)
+        match = re.compile(fnmatch.translate(pattern)).match
+        strings = self._strings
+        hits = np.fromiter(
+            (match(strings[sid]) is not None for sid in uniq.tolist()),
+            dtype=bool,
+            count=len(uniq),
+        )
+        return hits[inverse]
 
     @property
     def nbytes(self) -> int:

@@ -459,8 +459,8 @@ class VertexSet(_ElementSet[Vertex]):
         ``V.select(name="istream::read")`` keeps IO vertices.
 
         On a columnar set this runs vectorized: label/kind compare code
-        arrays, the name glob is matched once per *distinct* interned
-        string, and typed property columns compare in bulk.
+        arrays, the name glob is matched once per *distinct* name the
+        set references, and typed property columns compare in bulk.
         """
         if self._els is None:
             pag = self._pag
@@ -473,13 +473,7 @@ class VertexSet(_ElementSet[Vertex]):
             if call_kind is not None:
                 mask &= _np_view(pag._v_kind, np.int8)[ids] == CALLKIND_CODE[call_kind]
             if name is not None:
-                lookup = np.zeros(max(len(pag.strings), 1), dtype=bool)
-                match = pag.strings.matching_ids(
-                    lambda s: fnmatch.fnmatchcase(s, name)
-                )
-                if match:
-                    lookup[list(match)] = True
-                mask &= lookup[_np_view(pag._v_name, np.int64)[ids]]
+                mask &= pag.strings.glob_mask(name, _np_view(pag._v_name, np.int64)[ids])
             for key, want in props.items():
                 if not mask.any():
                     break
